@@ -32,8 +32,6 @@ from . import counting, structures
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
 KPRIME = 6.11170
 GROWTH_RATE_K3 = 4.54920
-RHO_K3 = 0.21982
-EXPANSION_COEFFICIENT = 146.6807  # KPRIME * 4!
 
 
 def _horner_with_derivative(coeffs, z: complex) -> tuple[complex, complex]:
@@ -362,8 +360,9 @@ class KprimeReport:
     """Convergence data for the subexponential constant K'.
 
     values[n] = S_{3,3}(n) * rho^n * n(n-1)...(n-4) / 4! for n >= 5
-    (earlier entries are nan); estimate is a one-step Richardson
-    extrapolation in 1/n of the raw sequence.
+    (earlier entries are nan); estimate is the value at 1/n = 0 of the
+    cubic in 1/n through values at n_max, n_max//2, n_max//4 and
+    n_max//8 (three Richardson steps when n_max is a multiple of 8).
     """
 
     n_max: int
@@ -385,8 +384,12 @@ def estimate_kprime(n_max: int) -> KprimeReport:
         values[n] = math.exp(
             math.log(structures.s_k3(3, n)) + n * log_rho + math.log(ff) - math.log(24)
         )
-    half = n_max // 2
-    estimate = (n_max * values[n_max] - half * values[half]) / (n_max - half)
+    # Lagrange interpolation in h = 1/n at h = 0: the weight of node i is
+    # prod over j != i of h_j / (h_j - h_i) = i / (i - j)
+    nodes = [n_max // 2**i for i in range(4)]
+    estimate = sum(
+        values[i] * math.prod(i / (i - j) for j in nodes if j != i) for i in nodes
+    )
     return KprimeReport(
         n_max=n_max,
         rho=rho,
@@ -404,6 +407,11 @@ class SingularConstants:
     u_value: float
     u_derivative: float
     g_derivative: float
+
+    @property
+    def kprime_limit(self) -> float:
+        """lim K'(n) = (8 g'(rho) rho)^4 / (pi u(rho)), about 6.55545."""
+        return (8 * self.g_derivative * self.rho) ** 4 / (math.pi * self.u_value)
 
 
 def singular_constants_check() -> SingularConstants:

@@ -9,7 +9,9 @@ JSON; exact counts are always serialized as decimal strings, never as
 floating point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal.  A persistent count cache (CSV: kind,k,n,ell,value) can be
+refusal.  Ranges are checked where the library takes its arguments; the
+ValueError it raises is reported as a usage error.  A persistent count
+cache of structure counts (CSV: kind,k,n,ell,value, kind always S) can be
 given via --cache or the CROSSING_COUNT_CACHE environment variable; it
 is append-only, validated on load, and ignored with a warning when
 corrupt, since every entry is re-derivable.
@@ -29,7 +31,7 @@ from . import asymptotics, oracle, powerseries, structures
 
 CACHE_ENV_VAR = "CROSSING_COUNT_CACHE"
 CACHE_HEADER = ["kind", "k", "n", "ell", "value"]
-_CACHE_KINDS = frozenset({"f", "T", "S", "lambda"})
+CACHE_KIND = "S"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,11 +40,11 @@ EXIT_BUDGET = 3
 
 
 class CountCache:
-    """Append-only CSV store of exact counts, keyed (kind, k, n, ell)."""
+    """Append-only CSV store of exact counts S_{k,3}(n), keyed (k, n, ell)."""
 
     def __init__(self, path: str):
         self.path = path
-        self.entries: dict[tuple[str, int, int, int | None], int] = {}
+        self.entries: dict[tuple[int, int, int | None], int] = {}
         self._needs_rewrite = False
         self._load()
 
@@ -57,10 +59,9 @@ class CountCache:
                     raise ValueError(f"bad header {header!r}")
                 for row in reader:
                     kind, k, n, ell, value = row
-                    if kind not in _CACHE_KINDS:
+                    if kind != CACHE_KIND:
                         raise ValueError(f"unknown kind {kind!r}")
-                    key = (kind, int(k), int(n), int(ell) if ell else None)
-                    self.entries[key] = int(value)
+                    self.entries[(int(k), int(n), int(ell) if ell else None)] = int(value)
         except (OSError, ValueError, csv.Error) as exc:
             print(
                 f"warning: ignoring corrupt cache {self.path}: {exc}",
@@ -69,26 +70,23 @@ class CountCache:
             self.entries = {}
             self._needs_rewrite = True
 
-    def get(self, kind: str, k: int, n: int, ell: int | None = None) -> int | None:
-        return self.entries.get((kind, k, n, ell))
+    def get(self, k: int, n: int, ell: int | None = None) -> int | None:
+        return self.entries.get((k, n, ell))
 
-    def put(self, kind: str, k: int, n: int, ell: int | None, value: int) -> None:
-        key = (kind, k, n, ell)
+    def put(self, k: int, n: int, ell: int | None, value: int) -> None:
+        key = (k, n, ell)
         if key in self.entries:
             return
         self.entries[key] = value
-        fresh = self._needs_rewrite or not os.path.exists(self.path)
-        mode = "w" if self._needs_rewrite else "a"
-        with open(self.path, mode, newline="") as fh:
+        rewrite = self._needs_rewrite or not os.path.exists(self.path)
+        rows = [(key, value)]
+        if rewrite:
+            rows = sorted(self.entries.items(), key=lambda item: str(item[0]))
+        with open(self.path, "w" if rewrite else "a", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if fresh:
+            if rewrite:
                 writer.writerow(CACHE_HEADER)
-                for (kd, kk, nn, el), val in sorted(
-                    self.entries.items(), key=lambda item: str(item[0])
-                ):
-                    writer.writerow([kd, kk, nn, "" if el is None else el, val])
-            else:
-                writer.writerow([kind, k, n, "" if ell is None else ell, value])
+            writer.writerows([CACHE_KIND, kk, nn, el, val] for (kk, nn, el), val in rows)
         self._needs_rewrite = False
 
 
@@ -98,22 +96,32 @@ def _open_cache(args) -> CountCache | None:
 
 
 def _structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) -> int:
-    if cache is not None:
-        hit = cache.get("S", k, n, ell)
-        if hit is not None:
-            return hit
-    value = structures.s_k3(k, n) if ell is None else structures.s_k3_by_isolated(k, n, ell)
-    if cache is not None:
-        cache.put("S", k, n, ell, value)
+    value = None if cache is None else cache.get(k, n, ell)
+    if value is None:
+        value = structures.s_k3(k, n) if ell is None else structures.s_k3_by_isolated(k, n, ell)
+        if cache is not None:
+            cache.put(k, n, ell, value)
     return value
 
 
-def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _base(args) -> float:
+    """The --base value, or the computed growth rate 1/rho_3 under --computed-base."""
+    if args.computed_base:
+        return asymptotics.compute_rho(3, Fraction(1, 4)).growth_rate
+    return args.base
 
 
-def _csv_writer() -> csv.writer:
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, payload: dict, records: list[dict], text: list[str]) -> None:
+    """Write one result: JSON is the payload, CSV the records under a header
+    of the first record's keys (None as an empty field), text the lines."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows(record.values() for record in records)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in text))
 
 
 def _sci(x: float, digits: int) -> str:
@@ -128,39 +136,13 @@ def _fail_usage(message: str) -> int:
 # ---------------------------------------------------------------- count
 
 def cmd_count(args) -> int:
-    if args.k < 3:
-        return _fail_usage(f"count needs --k >= 3, got {args.k}")
-    if args.n < 0:
-        return _fail_usage(f"count needs --n >= 0, got {args.n}")
-    if args.ell is not None and not 0 <= args.ell <= args.n:
-        return _fail_usage(f"need 0 <= ell <= n, got ell={args.ell}")
-    cache = _open_cache(args)
-    value = _structure_count(args.k, args.n, args.ell, cache)
-    if args.format == "json":
-        _emit_json({"k": args.k, "n": args.n, "ell": args.ell, "count": str(value)})
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["k", "n", "ell", "count"])
-        writer.writerow([args.k, args.n, "" if args.ell is None else args.ell, value])
-    else:
-        print(value)
+    value = _structure_count(args.k, args.n, args.ell, _open_cache(args))
+    payload = {"k": args.k, "n": args.n, "ell": args.ell, "count": str(value)}
+    _emit(args.format, payload, [payload], [str(value)])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- table
-
-def _table_rows(args, cache):
-    base = args.base
-    if args.computed_base:
-        base = asymptotics.compute_rho(3, Fraction(1, 4)).growth_rate
-    rows = []
-    for n in range(args.step, args.n_max + 1, args.step):
-        count = _structure_count(3, n, None, cache)
-        exact = asymptotics._scaled_count(count, base, n)
-        asym = asymptotics.subexp_factor(n) if n >= 5 else None
-        rows.append((n, exact, asym))
-    return base, rows
-
 
 def cmd_table(args) -> int:
     if args.step < 1 or args.n_max < args.step:
@@ -168,100 +150,74 @@ def cmd_table(args) -> int:
     if args.base <= 0:
         return _fail_usage(f"base must be positive, got {args.base}")
     cache = _open_cache(args)
-    base, rows = _table_rows(args, cache)
-    if args.format == "json":
-        _emit_json(
+    base = _base(args)
+    records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
+    for n in range(args.step, args.n_max + 1, args.step):
+        exact = asymptotics._scaled_count(_structure_count(3, n, None, cache), base, n)
+        asym = asymptotics.subexp_factor(n) if n >= 5 else None
+        records.append(
             {
-                "base": f"{base:.10g}",
-                "rows": [
-                    {
-                        "n": n,
-                        "exact_factor": _sci(exact, 6),
-                        "asymptotic_factor": None if asym is None else _sci(asym, 6),
-                    }
-                    for n, exact, asym in rows
-                ],
+                "n": n,
+                "exact_factor": _sci(exact, 6),
+                "asymptotic_factor": None if asym is None else _sci(asym, 6),
             }
         )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["n", "exact_factor", "asymptotic_factor"])
-        for n, exact, asym in rows:
-            writer.writerow([n, _sci(exact, 6), "" if asym is None else _sci(asym, 6)])
-    else:
-        digits = args.digits
-        print(f"base = {base:.10g}")
-        print(f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}")
-        for n, exact, asym in rows:
-            right = "-" if asym is None else _sci(asym, digits)
-            print(f"{n:>6}  {_sci(exact, digits):>14}  {right:>14}")
+        right = "-" if asym is None else _sci(asym, args.digits)
+        text.append(f"{n:>6}  {_sci(exact, args.digits):>14}  {right:>14}")
+    _emit(args.format, {"base": f"{base:.10g}", "rows": records}, records, text)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- growth
 
 def cmd_growth(args) -> int:
-    if args.k < 3:
-        return _fail_usage(f"growth needs --k >= 3, got {args.k}")
     if args.k == 3:
-        radius_exact = True
-        radius = Fraction(1, 4)
-        radius_error = 0.0
+        radius, radius_error = Fraction(1, 4), 0.0
     else:
-        radius_exact = False
-        n_max = args.n_max if args.n_max is not None else 40
-        if n_max < 10:
-            return _fail_usage(f"growth needs --n-max >= 10, got {n_max}")
-        estimate = asymptotics.estimate_rk(args.k, n_max)
-        radius = estimate.value
-        radius_error = estimate.error
+        estimate = asymptotics.estimate_rk(args.k, 40 if args.n_max is None else args.n_max)
+        radius, radius_error = estimate.value, estimate.error
     report = asymptotics.compute_rho(args.k, radius)
     sing = asymptotics.singularities_for_radius(report.radius)
-    if args.format == "json":
-        _emit_json(
-            {
-                "k": args.k,
-                "r_k": report.radius,
-                "r_k_exact": radius_exact,
-                "r_k_error": radius_error,
-                "rho": report.rho,
-                "growth_rate": report.growth_rate,
-                "residual": report.residual,
-                "singularities": [{"re": z.real, "im": z.imag} for z in sing],
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["quantity", "value_re", "value_im"])
-        writer.writerow(["r_k", f"{report.radius:.12g}", ""])
-        writer.writerow(["rho", f"{report.rho:.12g}", ""])
-        writer.writerow(["growth_rate", f"{report.growth_rate:.12g}", ""])
-        writer.writerow(["residual", f"{report.residual:.3e}", ""])
-        for i, z in enumerate(sing, 1):
-            writer.writerow([f"singularity_{i}", f"{z.real:.12g}", f"{z.imag:.12g}"])
-    else:
-        kind = "exact" if radius_exact else f"estimated +- {radius_error:.1e}"
-        print(f"k = {args.k}")
-        print(f"r_k = {report.radius:.10g} ({kind})")
-        print(f"rho_k = {report.rho:.10f}")
-        print(f"growth rate 1/rho_k = {report.growth_rate:.10f}")
-        print(f"residual |theta(rho)-r_k| = {report.residual:.3e}")
-        print("induced singularities:")
-        for z in sorted(sing, key=lambda w: (round(w.real, 9), w.imag)):
-            print(f"  {z.real:+.6f} {z.imag:+.6f}i")
+    payload = {
+        "k": args.k,
+        "r_k": report.radius,
+        "r_k_exact": args.k == 3,
+        "r_k_error": radius_error,
+        "rho": report.rho,
+        "growth_rate": report.growth_rate,
+        "residual": report.residual,
+        "singularities": [{"re": z.real, "im": z.imag} for z in sing],
+    }
+    records = [
+        {"quantity": "r_k", "value_re": f"{report.radius:.12g}", "value_im": ""},
+        {"quantity": "rho", "value_re": f"{report.rho:.12g}", "value_im": ""},
+        {"quantity": "growth_rate", "value_re": f"{report.growth_rate:.12g}", "value_im": ""},
+        {"quantity": "residual", "value_re": f"{report.residual:.3e}", "value_im": ""},
+    ] + [
+        {"quantity": f"singularity_{i}", "value_re": f"{z.real:.12g}", "value_im": f"{z.imag:.12g}"}
+        for i, z in enumerate(sing, 1)
+    ]
+    kind = "exact" if args.k == 3 else f"estimated +- {radius_error:.1e}"
+    text = [
+        f"k = {args.k}",
+        f"r_k = {report.radius:.10g} ({kind})",
+        f"rho_k = {report.rho:.10f}",
+        f"growth rate 1/rho_k = {report.growth_rate:.10f}",
+        f"residual |theta(rho)-r_k| = {report.residual:.3e}",
+        "induced singularities:",
+    ] + [
+        f"  {z.real:+.6f} {z.imag:+.6f}i"
+        for z in sorted(sing, key=lambda w: (round(w.real, 9), w.imag))
+    ]
+    _emit(args.format, payload, records, text)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- asym
 
 def cmd_asym(args) -> int:
-    if args.n < 0:
-        return _fail_usage(f"asym needs --n >= 0, got {args.n}")
-    base = args.base
-    if args.computed_base:
-        base = asymptotics.compute_rho(3, Fraction(1, 4)).growth_rate
-    cache = _open_cache(args)
-    count = _structure_count(3, args.n, None, cache)
+    base = _base(args)
+    count = _structure_count(3, args.n, None, _open_cache(args))
     exact = asymptotics._scaled_count(count, base, args.n)
     estimate = asymptotics.asymptotic_estimate(args.n, base) if args.n >= 5 else None
     payload = {
@@ -277,17 +233,10 @@ def cmd_asym(args) -> int:
         report = asymptotics.estimate_kprime(args.n_max)
         payload["kprime_raw"] = f"{report.raw_last:.6f}"
         payload["kprime_estimate"] = f"{report.estimate:.6f}"
+        payload["kprime_limit"] = f"{asymptotics.singular_constants_check().kprime_limit:.6f}"
         payload["kprime_n_max"] = args.n_max
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        keys = list(payload)
-        writer.writerow(keys)
-        writer.writerow(["" if payload[key] is None else payload[key] for key in keys])
-    else:
-        for key, value in payload.items():
-            print(f"{key} = {'-' if value is None else value}")
+    text = [f"{key} = {'-' if value is None else value}" for key, value in payload.items()]
+    _emit(args.format, payload, [payload], text)
     return EXIT_OK
 
 
@@ -316,43 +265,17 @@ def cmd_verify(args) -> int:
         return _fail_usage(f"verify needs --order >= 1, got {args.order}")
     reports = _verification_reports(args.which, args.k, args.order)
     ok = all(r.ok for r in reports)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": ok,
-                "checks": [
-                    {
-                        "name": r.name,
-                        "order": r.order,
-                        "ok": r.ok,
-                        "first_mismatch": r.first_mismatch,
-                    }
-                    for r in reports
-                ],
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["name", "order", "ok", "first_mismatch"])
-        for r in reports:
-            writer.writerow(
-                [r.name, r.order, r.ok, "" if r.first_mismatch is None else r.first_mismatch]
-            )
-    else:
-        for r in reports:
-            print(r.describe())
+    checks = [
+        {"name": r.name, "order": r.order, "ok": r.ok, "first_mismatch": r.first_mismatch}
+        for r in reports
+    ]
+    _emit(args.format, {"ok": ok, "checks": checks}, checks, [r.describe() for r in reports])
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
-    if args.n < 0:
-        return _fail_usage(f"oracle needs --n >= 0, got {args.n}")
-    if args.k < 2:
-        return _fail_usage(f"oracle needs --k >= 2, got {args.k}")
-    if args.min_arc < 1:
-        return _fail_usage(f"oracle needs --min-arc >= 1, got {args.min_arc}")
     spec = oracle.EnumSpec(
         n=args.n,
         max_crossing=args.k,
@@ -362,73 +285,39 @@ def cmd_oracle(args) -> int:
     )
     rng = random.Random(args.shuffle_seed) if args.shuffle_seed is not None else None
     result = oracle.enumerate_count(spec, branch_rng=rng)
+    payload = {"n": args.n, "k": args.k, "min_arc_length": args.min_arc}
     if args.by_isolated:
         items = sorted(result.items())
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": args.n,
-                    "k": args.k,
-                    "min_arc_length": args.min_arc,
-                    "histogram": {str(ell): str(cnt) for ell, cnt in items},
-                    "total": str(sum(result.values())),
-                }
-            )
-        elif args.format == "csv":
-            writer = _csv_writer()
-            writer.writerow(["ell", "count"])
-            for ell, cnt in items:
-                writer.writerow([ell, cnt])
-        else:
-            for ell, cnt in items:
-                print(f"{ell} {cnt}")
+        payload["histogram"] = {str(ell): str(cnt) for ell, cnt in items}
+        payload["total"] = str(sum(result.values()))
+        records = [{"ell": ell, "count": cnt} for ell, cnt in items]
+        text = [f"{ell} {cnt}" for ell, cnt in items]
     else:
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": args.n,
-                    "k": args.k,
-                    "min_arc_length": args.min_arc,
-                    "count": str(result),
-                }
-            )
-        elif args.format == "csv":
-            writer = _csv_writer()
-            writer.writerow(["n", "k", "min_arc_length", "count"])
-            writer.writerow([args.n, args.k, args.min_arc, result])
-        else:
-            print(result)
+        payload["count"] = str(result)
+        records, text = [payload], [str(result)]
+    _emit(args.format, payload, records, text)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- roots
 
 def cmd_roots(args) -> int:
-    try:
-        problem = asymptotics.QuarticProblem(*args.coeffs)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    problem = asymptotics.QuarticProblem(*args.coeffs)
     roots = sorted(
         asymptotics.solve_quartic(problem), key=lambda z: (round(z.real, 12), z.imag)
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "coefficients": list(args.coeffs),
-                "roots": [
-                    {"re": z.real, "im": z.imag, "residual": problem.residual(z)}
-                    for z in roots
-                ],
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["re", "im", "residual"])
-        for z in roots:
-            writer.writerow([f"{z.real:.15g}", f"{z.imag:.15g}", f"{problem.residual(z):.3e}"])
-    else:
-        for z in roots:
-            print(f"{z.real:+.12f} {z.imag:+.12f}i   residual {problem.residual(z):.3e}")
+    payload = {
+        "coefficients": list(args.coeffs),
+        "roots": [{"re": z.real, "im": z.imag, "residual": problem.residual(z)} for z in roots],
+    }
+    records = [
+        {"re": f"{z.real:.15g}", "im": f"{z.imag:.15g}", "residual": f"{problem.residual(z):.3e}"}
+        for z in roots
+    ]
+    text = [
+        f"{z.real:+.12f} {z.imag:+.12f}i   residual {problem.residual(z):.3e}" for z in roots
+    ]
+    _emit(args.format, payload, records, text)
     return EXIT_OK
 
 

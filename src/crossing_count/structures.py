@@ -25,16 +25,20 @@ import threading
 
 from . import counting
 
-_lock = threading.Lock()
 _s_cache: dict[tuple[int, int], int] = {}
 _s_ell_cache: dict[tuple[int, int, int], int] = {}
 
 
 class LambdaTable:
-    """Bottom-up table of the short-arc weights lam(n, b)."""
+    """Bottom-up table of the short-arc weights lam(n, b).
+
+    Reads need no lock: rows are appended whole and never changed.  Growth
+    takes the table's own lock, so concurrent queries fill each row once.
+    """
 
     def __init__(self, max_n: int = 0):
         self._rows: list[list[int]] = []
+        self._lock = threading.Lock()
         self.ensure(max_n)
 
     @property
@@ -48,23 +52,25 @@ class LambdaTable:
 
     def ensure(self, n: int) -> None:
         """Extend the table so every row up to n is filled."""
-        for m in range(len(self._rows), n + 1):
-            row = [1] + [0] * (m // 2)
-            for b in range(1, m // 2 + 1):
-                row[b] = (
-                    self._get(m - 1, b)
-                    + self._get(m - 2, b - 1)
-                    + self._get(m - 3, b - 1)
-                    + self._get(m - 4, b - 2)
-                )
-            self._rows.append(row)
+        with self._lock:
+            for m in range(len(self._rows), n + 1):
+                row = [1] + [0] * (m // 2)
+                for b in range(1, m // 2 + 1):
+                    row[b] = (
+                        self._get(m - 1, b)
+                        + self._get(m - 2, b - 1)
+                        + self._get(m - 3, b - 1)
+                        + self._get(m - 4, b - 2)
+                    )
+                self._rows.append(row)
 
     def value(self, n: int, b: int) -> int:
         if n < 0:
             raise ValueError(f"row index must be nonnegative, got {n}")
         if b < 0 or 2 * b > n:
             return 0
-        self.ensure(n)
+        if n > self.max_n:
+            self.ensure(n)
         return self._rows[n][b]
 
 
@@ -73,13 +79,6 @@ _table = LambdaTable()
 
 def lambda_weight(n: int, b: int) -> int:
     """Weight lam(n, b); zero outside 0 <= 2b <= n."""
-    if n < 0:
-        raise ValueError(f"row index must be nonnegative, got {n}")
-    if b < 0 or 2 * b > n:
-        return 0
-    if _table.max_n < n:
-        with _lock:
-            _table.ensure(n)
     return _table.value(n, b)
 
 
@@ -96,7 +95,8 @@ def s_k3(k: int, n: int) -> int:
         for b in range(n // 2 + 1):
             term = lambda_weight(n, b) * counting.tk_total(k, n - 2 * b)
             value += -term if b % 2 else term
-        assert value >= 0, f"signed sum collapsed below zero for k={k}, n={n}"
+        if value < 0:
+            raise ArithmeticError(f"signed sum collapsed below zero for k={k}, n={n}")
         _s_cache.setdefault(key, value)
     return value
 
@@ -114,6 +114,9 @@ def s_k3_by_isolated(k: int, n: int, ell: int) -> int:
         for b in range((n - ell) // 2 + 1):
             term = lambda_weight(n, b) * counting.fk_partial(k, n - 2 * b, ell)
             value += -term if b % 2 else term
-        assert value >= 0, f"signed sum collapsed below zero for k={k}, n={n}, ell={ell}"
+        if value < 0:
+            raise ArithmeticError(
+                f"signed sum collapsed below zero for k={k}, n={n}, ell={ell}"
+            )
         _s_ell_cache.setdefault(key, value)
     return value

@@ -1,9 +1,12 @@
-"""Shared test utilities: an independent polynomial root oracle and
-significant-figure comparison."""
+"""Shared test utilities: an independent polynomial root oracle,
+significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
 
+import os
 import random
+
+import crossing_count
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -81,3 +84,9 @@ def matches_sig_figs(computed: float, printed: float, figures: int) -> bool:
     if printed == 0:
         return computed == 0
     return abs(computed - printed) / abs(printed) <= 0.5 * 10.0 ** (1 - figures)
+
+
+def package_env() -> dict[str, str]:
+    """Environment in which a child interpreter imports this crossing_count."""
+    src = os.path.dirname(os.path.dirname(crossing_count.__file__))
+    return {**os.environ, "PYTHONPATH": src}

@@ -253,6 +253,14 @@ def test_estimate_kprime_small_run():
         asy.estimate_kprime(49)
 
 
+def test_estimate_kprime_extrapolates_to_the_limit():
+    limit = asy.singular_constants_check().kprime_limit
+    assert abs(limit - 6.55545) < 1e-5
+    report = asy.estimate_kprime(250)
+    assert abs(report.estimate - 6.55545) < 5e-3
+    assert report.raw_last < report.estimate < limit
+
+
 def test_singular_constants():
     sc = asy.singular_constants_check()
     assert abs(sc.u_value - 0.83679) <= 1e-4

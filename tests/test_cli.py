@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from helpers import package_env
 from crossing_count import cli, powerseries
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
@@ -200,7 +201,7 @@ def test_cached_values_reused_verbatim(tmp_path, capsys):
     cache = tmp_path / "counts.csv"
     run_cli(capsys, "count", "--k", "3", "--n", "15", "--cache", str(cache))
     store = cli.CountCache(str(cache))
-    assert store.get("S", 3, 15) == s_k3(3, 15)
+    assert store.get(3, 15) == s_k3(3, 15)
 
 
 def test_roots_csv(capsys):
@@ -218,6 +219,7 @@ def test_console_script_subprocess():
         [sys.executable, "-m", "crossing_count", "count", "--k", "3", "--n", "4"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"

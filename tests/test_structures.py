@@ -1,6 +1,12 @@
+import random
+import subprocess
+import sys
+import threading
+
 import pytest
 
-from crossing_count import structures
+from helpers import package_env
+from crossing_count import counting, structures
 from crossing_count.oracle import EnumSpec, enumerate_count
 from crossing_count.structures import LambdaTable, lambda_weight, s_k3, s_k3_by_isolated
 
@@ -111,3 +117,63 @@ def test_sum_rule_over_isolated():
 def test_structure_counts_are_cached():
     before = structures.s_k3(3, 25)
     assert structures.s_k3(3, 25) == before
+
+
+def test_lambda_table_concurrent_growth_matches_sequential():
+    queries = [(n, b) for n in range(100) for b in range(n // 2 + 1)]
+    sequential = LambdaTable(99)
+    expected = {q: sequential.value(*q) for q in queries}
+    table = LambdaTable()
+    start = threading.Barrier(6)
+    results = []
+
+    def worker(seed):
+        order = random.Random(seed).sample(queries, len(queries))
+        start.wait(timeout=60)
+        results.append({q: table.value(*q) for q in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # force frequent thread switches
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 6
+    assert table.max_n == 99
+
+
+def _only_one_short_arc(k, m):
+    # T_k(m) = 1 for m = 8 only: S(10) = -lam(10, 1) * 1 < 0
+    return 1 if m == 8 else 0
+
+
+def test_negative_signed_sum_raises_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(counting, "tk_total", _only_one_short_arc)
+    monkeypatch.setattr(structures, "_s_cache", {})
+    with pytest.raises(ArithmeticError, match="below zero"):
+        structures.s_k3(3, 10)
+    monkeypatch.setattr(counting, "fk_partial", lambda k, m, ell: _only_one_short_arc(k, m))
+    monkeypatch.setattr(structures, "_s_ell_cache", {})
+    with pytest.raises(ArithmeticError, match="below zero"):
+        structures.s_k3_by_isolated(3, 10, 0)
+
+
+def test_negative_signed_sum_raises_under_optimize():
+    script = (
+        "from crossing_count import counting, structures\n"
+        "counting.tk_total = lambda k, m: 1 if m == 8 else 0\n"
+        "try:\n"
+        "    structures.s_k3(3, 10)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
