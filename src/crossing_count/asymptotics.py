@@ -2,9 +2,12 @@
 
 The exponential growth rate of the structure counts is 1/rho_k, where
 rho_k is the smallest positive solution of theta(z) = r_k and r_k is the
-radius of convergence of sum f_k(2n,0) z^(2n).  For k = 3 the radius is
-exactly 1/4, clearing theta(z) = 1/4 gives the quartic
-z^4 - 5z^3 - z^2 + 5z - 1, and the subexponential factor is
+radius of convergence of sum f_k(2n,0) z^(2n), exactly 1/(2(k-1)) since
+f_k(2n,0) ~ c_k n^(-((k-1)^2 + (k-1)/2)) (2(k-1))^(2n) (Grabiner &
+Magyar 1993; Chen, Deng, Du, Stanley & Yan 2007).  Clearing
+theta(z) = r_k gives a quartic, z^4 - 5z^3 - z^2 + 5z - 1 for k = 3,
+whose smallest real root in (0, 0.7) is rho_k.  For k = 3 the
+subexponential factor is
 K' * 4! / (n(n-1)(n-2)(n-3)(n-4)) with the paper's printed K' = 6.11170.
 That constant is a finite-n value: the exact sequence
 K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4! crosses it at n = 421 and
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,23 +177,20 @@ def _u_prime(z: float) -> float:
     return -1 + 2 * z + 3 * z * z - 4 * z**3
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
-    """Numeric radius of convergence estimate with an empirical bound."""
-
-    k: int
-    n_max: int
-    value: float
-    error: float
+def radius(k: int) -> Fraction:
+    """Exact radius r_k = 1/(2(k-1)) of sum f_k(2n,0) z^(2n)."""
+    if k < 2:
+        raise ValueError(f"crossing bound k must be >= 2, got {k}")
+    return Fraction(1, 2 * (k - 1))
 
 
-def estimate_rk(k: int, n_max: int) -> RadiusEstimate:
+def estimate_rk(k: int, n_max: int) -> float:
     """Radius of sum f_k(2n,0) z^(2n) from ratios of exact counts.
 
     The raw estimates sqrt(f_k(2m-2,0) / f_k(2m,0)) converge like
     r_k (1 + a/m), so iterated Richardson extrapolation in 1/m is
-    applied to the tail; the reported error is the size of the last
-    extrapolation step, an empirical bound rather than a guarantee.
+    applied to the tail.  The exact value is radius(k); this estimate
+    only serves to check it.
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
@@ -200,17 +199,12 @@ def estimate_rk(k: int, n_max: int) -> RadiusEstimate:
     m_max = n_max // 2
     f = [counting.fk_perfect(k, 2 * m) for m in range(m_max + 1)]
     seq = [(m, math.sqrt(f[m - 1] / f[m])) for m in range(1, m_max + 1)]
-    prev_last = seq[-1][1]
-    depth = min(3, len(seq) - 1)
-    for j in range(1, depth + 1):
-        prev_last = seq[-1][1]
+    for j in range(1, 4):
         seq = [
             (m, (m * x - (m - j) * x_before) / j)
             for (_, x_before), (m, x) in zip(seq, seq[1:])
         ]
-    value = seq[-1][1]
-    error = max(abs(value - seq[-2][1]), abs(value - prev_last) / 4) + 1e-12
-    return RadiusEstimate(k=k, n_max=n_max, value=value, error=error)
+    return seq[-1][1]
 
 
 @dataclass(frozen=True)
@@ -233,67 +227,29 @@ def _clearing_coefficients(r) -> tuple[float, float, float, float, float]:
 def compute_rho(k: int, r_k) -> GrowthReport:
     """Smallest positive real solution of theta(z) = r_k.
 
-    Rational r_k goes through the exact-coefficient quartic
-    (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 solved in closed form;
-    a float r_k is bracketed by a sign scan on [0, 0.7] instead.  Either
-    way the root is Newton-polished on the cleared quartic.
+    The cleared quartic (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 is
+    solved in closed form, and its smallest real root in (0, 0.7) is
+    Newton-polished.
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
-    exact = isinstance(r_k, numbers.Rational)
-    r = Fraction(r_k) if exact else float(r_k)
-    rf = float(r)
+    rf = float(r_k)
     if not 0 < rf <= 0.5:
         raise ValueError(f"radius must lie in (0, 1/2], got {rf}")
-    coeffs = _clearing_coefficients(r)
-    problem = QuarticProblem(*coeffs)
-    roots = solve_quartic(problem)
-
-    rho = None
-    if exact:
-        real_candidates = [
-            z.real for z in roots if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7
-        ]
-        if real_candidates:
-            rho = min(real_candidates)
-    else:
-        rho = _bisect_smallest_root(coeffs, rf)
-    if rho is None:
+    coeffs = _clearing_coefficients(r_k)
+    roots = solve_quartic(QuarticProblem(*coeffs))
+    real_candidates = [z.real for z in roots if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
+    if not real_candidates:
         raise ValueError(f"no real root in (0, 0.7) for radius {rf}")
-    rho = _newton_refine(complex(rho), coeffs).real
-    residual = abs(theta(rho) - rf)
+    rho = _newton_refine(complex(min(real_candidates)), coeffs).real
     return GrowthReport(
         k=k,
         radius=rf,
         rho=rho,
         growth_rate=1 / rho,
-        residual=residual,
+        residual=abs(theta(rho) - rf),
         roots=tuple(roots),
     )
-
-
-def _bisect_smallest_root(coeffs, rf: float) -> float | None:
-    def q(z: float) -> float:
-        return (z - z**3) - rf * _u(z)
-
-    steps = 7000
-    prev = q(0.0)
-    for i in range(1, steps + 1):
-        z = 0.7 * i / steps
-        val = q(z)
-        if val == 0:
-            return z
-        if prev < 0 < val or val < 0 < prev:
-            lo, hi = 0.7 * (i - 1) / steps, z
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if (q(lo) < 0) == (q(mid) < 0):
-                    lo = mid
-                else:
-                    hi = mid
-            return (lo + hi) / 2
-        prev = val
-    return None
 
 
 def singularities_for_radius(r) -> list[complex]:
@@ -376,7 +332,7 @@ def estimate_kprime(n_max: int) -> KprimeReport:
     """Normalized-count sequence and extrapolated limit for K'."""
     if n_max < 50:
         raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
-    rho = compute_rho(3, Fraction(1, 4)).rho
+    rho = compute_rho(3, radius(3)).rho
     log_rho = math.log(rho)
     values = [math.nan] * (n_max + 1)
     for n in range(5, n_max + 1):
@@ -416,7 +372,7 @@ class SingularConstants:
 
 def singular_constants_check() -> SingularConstants:
     """u(rho_3), u'(rho_3) and g'(rho_3) for g(z) = (z - z^3)/u(z)."""
-    rho = compute_rho(3, Fraction(1, 4)).rho
+    rho = compute_rho(3, radius(3)).rho
     uv = _u(rho)
     du = _u_prime(rho)
     dg = ((1 - 3 * rho * rho) * uv - (rho - rho**3) * du) / (uv * uv)

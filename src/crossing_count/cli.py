@@ -25,7 +25,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import asymptotics, oracle, powerseries, structures
 
@@ -107,7 +106,7 @@ def _structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) 
 def _base(args) -> float:
     """The --base value, or the computed growth rate 1/rho_3 under --computed-base."""
     if args.computed_base:
-        return asymptotics.compute_rho(3, Fraction(1, 4)).growth_rate
+        return asymptotics.compute_rho(3, asymptotics.radius(3)).growth_rate
     return args.base
 
 
@@ -171,18 +170,13 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- growth
 
 def cmd_growth(args) -> int:
-    if args.k == 3:
-        radius, radius_error = Fraction(1, 4), 0.0
-    else:
-        estimate = asymptotics.estimate_rk(args.k, 40 if args.n_max is None else args.n_max)
-        radius, radius_error = estimate.value, estimate.error
-    report = asymptotics.compute_rho(args.k, radius)
+    report = asymptotics.compute_rho(args.k, asymptotics.radius(args.k))
     sing = asymptotics.singularities_for_radius(report.radius)
     payload = {
         "k": args.k,
         "r_k": report.radius,
-        "r_k_exact": args.k == 3,
-        "r_k_error": radius_error,
+        "r_k_exact": True,
+        "r_k_error": 0.0,
         "rho": report.rho,
         "growth_rate": report.growth_rate,
         "residual": report.residual,
@@ -197,10 +191,9 @@ def cmd_growth(args) -> int:
         {"quantity": f"singularity_{i}", "value_re": f"{z.real:.12g}", "value_im": f"{z.imag:.12g}"}
         for i, z in enumerate(sing, 1)
     ]
-    kind = "exact" if args.k == 3 else f"estimated +- {radius_error:.1e}"
     text = [
         f"k = {args.k}",
-        f"r_k = {report.radius:.10g} ({kind})",
+        f"r_k = {report.radius:.10g} (exact)",
         f"rho_k = {report.rho:.10f}",
         f"growth rate 1/rho_k = {report.growth_rate:.10f}",
         f"residual |theta(rho)-r_k| = {report.residual:.3e}",
@@ -365,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="radius, dominant singularity and growth rate")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None, help="ratio-extrapolation depth for k > 3")
+    p.add_argument(
+        "--n-max", type=int, default=None, help="ignored: r_k = 1/(2(k-1)) is exact for every k"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_growth)
 
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("roots", help="solve a quartic A x^4 + B x^3 + C x^2 + D x + E")
-    p.add_argument("coeffs", type=float, nargs=5, metavar=("A", "B", "C", "D", "E"))
+    p.add_argument("coeffs", type=float, nargs=5, metavar="COEFF", help="A, B, C, D and E")
     _add_common(p)
     p.set_defaults(func=cmd_roots)
 

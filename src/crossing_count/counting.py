@@ -3,14 +3,19 @@
 A perfect matching on [n] with no k mutually crossing arcs corresponds to
 a closed walk of length n on Young diagrams with at most k-1 rows, where
 every step adds or removes exactly one square (an oscillating tableau
-that starts and ends at the empty shape).  One forward sweep of that walk
-DP therefore yields the whole sequence f_k(0,0), ..., f_k(N,0) at once;
-partial-matching counts follow by choosing which vertices stay isolated.
+that starts and ends at the empty shape).  Splitting a closed walk of
+length 2m at its midpoint gives
+
+    f_k(2m, 0) = sum over shapes lam of W_m(lam)^2,
+
+where W_m(lam) counts the m-step walks from the empty shape to lam, so
+one more step of the frontier W_m extends the sequence by one term.
+Partial-matching counts follow by choosing which vertices stay isolated.
 
 Everything here is exact: counts are plain Python integers and are never
-rounded.  Results are cached per (k, n); the caches are filled under a
-lock and behave as write-once-per-key, so concurrent callers always see
-the same values.
+rounded.  Each k has one table that grows in place under its own lock;
+counts are only appended, never changed, so concurrent callers always
+see the same values.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import math
 import threading
 
-_lock = threading.Lock()
-_fk_tables: dict[int, list[int]] = {}
 _tk_cache: dict[tuple[int, int], int] = {}
 
 
@@ -30,55 +33,59 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def _closed_walk_counts(k: int, n_max: int) -> list[int]:
-    """Closed oscillating-tableaux walks with at most k-1 rows.
+class WalkTable:
+    """f_k(n, 0) for n = 0, 1, ..., max_n, extended one walk step at a time.
 
-    Returns [f_k(0,0), ..., f_k(n_max,0)].  States are weakly decreasing
-    row tuples; a shape larger than the number of remaining steps can no
-    longer shrink back to the empty shape and is dropped, which keeps the
-    frontier small without losing any closed walk of length <= n_max.
+    Keeps the frontier W_m of m-step walks from the empty shape; a step
+    appends f_k(2m+1, 0) = 0 and f_k(2m+2, 0).  Reads need no lock; growth
+    takes the table's own lock.
     """
-    max_rows = k - 1
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    frontier: dict[tuple[int, ...], int] = {(): 1}
-    for step in range(1, n_max + 1):
-        budget = n_max - step
+
+    def __init__(self, k: int):
+        self._max_rows = k - 1
+        self._counts = [1]
+        self._frontier: dict[tuple[int, ...], int] = {(): 1}
+        self._lock = threading.Lock()
+
+    @property
+    def max_n(self) -> int:
+        return len(self._counts) - 1
+
+    def _step(self) -> None:
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
-        for shape, ways in frontier.items():
+        for shape, ways in self._frontier.items():
             rows = len(shape)
-            if sum(shape) < budget:
-                # add one square to any row that stays weakly decreasing
-                for i in range(rows):
-                    if i == 0 or shape[i - 1] > shape[i]:
-                        cand = shape[:i] + (shape[i] + 1,) + shape[i + 1 :]
-                        nxt[cand] = get(cand, 0) + ways
-                if rows < max_rows:
-                    cand = shape + (1,)
+            # add one square to any row that stays weakly decreasing
+            for i in range(rows):
+                if i == 0 or shape[i - 1] > shape[i]:
+                    cand = shape[:i] + (shape[i] + 1,) + shape[i + 1 :]
                     nxt[cand] = get(cand, 0) + ways
+            if rows < self._max_rows:
+                cand = shape + (1,)
+                nxt[cand] = get(cand, 0) + ways
             # remove one square; a row emptied this way is always the last
             for i in range(rows):
                 if i == rows - 1 or shape[i] > shape[i + 1]:
                     v = shape[i] - 1
                     cand = shape[:i] + (v,) + shape[i + 1 :] if v else shape[:i]
                     nxt[cand] = get(cand, 0) + ways
-        counts[step] = nxt.get((), 0)
-        frontier = nxt
-    return counts
+        self._frontier = nxt
+        self._counts += (0, sum(ways * ways for ways in nxt.values()))
+
+    def ensure(self, n: int) -> None:
+        """Extend the table so every count up to n is filled."""
+        with self._lock:
+            while self.max_n < n:
+                self._step()
+
+    def value(self, n: int) -> int:
+        if n > self.max_n:
+            self.ensure(n)
+        return self._counts[n]
 
 
-def _fk_table(k: int, n: int) -> list[int]:
-    table = _fk_tables.get(k)
-    if table is not None and len(table) > n:
-        return table
-    with _lock:
-        table = _fk_tables.get(k)
-        if table is None or len(table) <= n:
-            grown = 2 * (len(table) - 1) if table else 0
-            table = _closed_walk_counts(k, max(n, grown, 32))
-            _fk_tables[k] = table
-    return table
+_walk_tables: dict[int, WalkTable] = {}
 
 
 def fk_perfect(k: int, n: int) -> int:
@@ -91,13 +98,14 @@ def fk_perfect(k: int, n: int) -> int:
         raise ValueError(f"crossing bound k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    return _fk_table(k, n)[n]
+    table = _walk_tables.get(k) or _walk_tables.setdefault(k, WalkTable(k))
+    return table.value(n)
 
 
 def fk_closed_form_k3(n: int) -> int:
     """Catalan closed form for the k = 3 perfect-matching count.
 
-    Independent of the walk DP: C_{n/2+2} * C_{n/2} - C_{n/2+1}^2.
+    Independent of the walk table: C_{n/2+2} * C_{n/2} - C_{n/2+1}^2.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")

@@ -125,16 +125,21 @@ def test_theta_pole_raises():
         asy.theta(lo)
 
 
-def test_estimate_rk_k3():
-    est = asy.estimate_rk(3, 60)
-    assert abs(est.value - 0.25) <= 0.002
-    coarse = asy.estimate_rk(3, 10)
-    assert abs(coarse.value - 0.25) / 0.25 <= 0.10
+def test_radius_values():
+    assert [asy.radius(k) for k in (2, 3, 4, 5)] == [
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8)
+    ]
+    with pytest.raises(ValueError):
+        asy.radius(1)
 
 
-def test_estimate_rk_k4():
-    est = asy.estimate_rk(4, 40)
-    assert abs(est.value - 1 / 6) <= 0.005
+@pytest.mark.parametrize("k", range(3, 7))
+def test_estimate_rk_converges_to_the_exact_radius(k):
+    r = float(asy.radius(k))
+    error_40 = abs(asy.estimate_rk(k, 40) - r)
+    error_64 = abs(asy.estimate_rk(k, 64) - r)
+    assert error_64 < error_40
+    assert error_64 < 1e-3 * r
 
 
 def test_estimate_rk_rejects_bad_arguments():
@@ -160,11 +165,14 @@ def test_compute_rho_round_trip():
     assert abs(report.rho - 0.1) <= 1e-10
 
 
-def test_compute_rho_k4_matches_bisection_oracle():
-    report = asy.compute_rho(4, Fraction(1, 6))
+@pytest.mark.parametrize("k", range(3, 9))
+def test_compute_rho_matches_bisection_oracle(k):
+    r = asy.radius(k)
+    report = asy.compute_rho(k, r)
+    assert report.radius == float(r)
 
     def cleared(z):
-        return (z - z**3) - (1 / 6) * (1 - z + z * z + z**3 - z**4)
+        return (z - z**3) - float(r) * (1 - z + z * z + z**3 - z**4)
 
     lo, hi = 0.0, 0.7
     assert cleared(lo) < 0

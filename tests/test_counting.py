@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -51,6 +54,61 @@ def test_closed_form_rejects_odd():
 def test_dp_matches_closed_form_to_60():
     for n in range(0, 61, 2):
         assert counting.fk_perfect(3, n) == counting.fk_closed_form_k3(n)
+
+
+def test_walk_table_matches_closed_form_to_300():
+    table = counting.WalkTable(3)
+    for n in range(0, 301, 2):
+        assert table.value(n) == counting.fk_closed_form_k3(n)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_walk_table_same_values_in_any_query_order(k):
+    n_max = 60
+    ascending = counting.WalkTable(k)
+    up = [ascending.value(n) for n in range(n_max + 1)]
+    descending = counting.WalkTable(k)
+    down = [descending.value(n) for n in range(n_max, -1, -1)][::-1]
+    large = counting.WalkTable(k)
+    large.ensure(n_max)
+    assert up == down == [large.value(n) for n in range(n_max + 1)]
+    assert up[1::2] == [0] * (n_max // 2)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_fk_perfect_grows_its_table_no_further_than_asked(k, monkeypatch):
+    monkeypatch.setattr(counting, "_walk_tables", {})
+    for n in (0, 7, 10, 31, 64):
+        counting.fk_perfect(k, n)
+        assert counting._walk_tables[k].max_n + 1 <= n + 2  # entries for 0..max_n
+
+
+def test_walk_table_concurrent_growth_matches_sequential():
+    queries = list(range(81))
+    expected = [counting.WalkTable(4).value(n) for n in queries]
+    table = counting.WalkTable(4)
+    start = threading.Barrier(6)
+    results = []
+
+    def worker(seed):
+        order = random.Random(seed).sample(queries, len(queries))
+        start.wait(timeout=60)
+        got = {n: table.value(n) for n in order}
+        results.append([got[n] for n in queries])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # force frequent thread switches
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 6
+    assert table.max_n == 80
 
 
 def test_k2_is_catalan():
