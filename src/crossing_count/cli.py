@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -104,7 +105,12 @@ def _structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) 
 
 
 def _base(args) -> float:
-    """The --base value, or the computed growth rate 1/rho_3 under --computed-base."""
+    """The --base value, or the computed growth rate 1/rho_3 under --computed-base.
+
+    --base must be finite and positive even when --computed-base replaces it.
+    """
+    if not (math.isfinite(args.base) and args.base > 0):
+        raise ValueError(f"--base must be finite and positive, got {args.base}")
     if args.computed_base:
         return asymptotics.compute_rho(3, asymptotics.radius(3)).growth_rate
     return args.base
@@ -146,10 +152,10 @@ def cmd_count(args) -> int:
 def cmd_table(args) -> int:
     if args.step < 1 or args.n_max < args.step:
         return _fail_usage(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
-    if args.base <= 0:
-        return _fail_usage(f"base must be positive, got {args.base}")
-    cache = _open_cache(args)
+    if args.digits < 1:
+        return _fail_usage(f"table needs --digits >= 1, got {args.digits}")
     base = _base(args)
+    cache = _open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
     for n in range(args.step, args.n_max + 1, args.step):
         exact = asymptotics._scaled_count(_structure_count(3, n, None, cache), base, n)

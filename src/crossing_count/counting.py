@@ -1,27 +1,48 @@
 """Exact counts of k-noncrossing matchings and partial matchings.
 
-A perfect matching on [n] with no k mutually crossing arcs corresponds to
-a closed walk of length n on Young diagrams with at most k-1 rows, where
-every step adds or removes exactly one square (an oscillating tableau
-that starts and ends at the empty shape).  Splitting a closed walk of
-length 2m at its midpoint gives
+For k = 2..6 both f_k(2m, 0), the perfect matchings on [2m] with no k
+mutually crossing arcs, and T_k(n), all partial matchings on [n] with
+that property, come from linear recurrences with polynomial coefficients
+(P-recurrences): their exponential generating functions are the Bessel
+determinant of Grabiner & Magyar (1993) and e^x times it, both D-finite.
+scripts/derive_recurrences.py guesses each recurrence from exact terms,
+overdetermined two to one, and writes the table at the bottom of this
+module; one step of a recurrence is a few small-integer products and one
+exact division.
+
+Any other k falls back to walks: a perfect matching on [n] corresponds
+to a closed walk of length n on Young diagrams with at most k-1 rows,
+where every step adds or removes exactly one square (an oscillating
+tableau that starts and ends at the empty shape).  Splitting a closed
+walk of length 2m at its midpoint gives
 
     f_k(2m, 0) = sum over shapes lam of W_m(lam)^2,
 
 where W_m(lam) counts the m-step walks from the empty shape to lam, so
-one more step of the frontier W_m extends the sequence by one term.
-Partial-matching counts follow by choosing which vertices stay isolated.
+one more step of the frontier W_m extends the sequence by one term, and
+T_k(n) = sum_m binom(n, 2m) f_k(2m, 0).  That route stays the test
+oracle for the recurrences.  Partial-matching counts follow by choosing
+which vertices stay isolated.
 
 Everything here is exact: counts are plain Python integers and are never
-rounded.  Each k has one table that grows in place under its own lock;
-counts are only appended, never changed, so concurrent callers always
-see the same values.
+rounded.  Each sequence has one table that grows in place under its own
+lock; counts are only appended, never changed, so concurrent callers
+always see the same values.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+
+from .oracle import BudgetExceededError
+
+# A walk table for a k with no recurrence refuses to keep more shapes than
+# this: k = 7 reaches it near n = 84, k = 8 near n = 76, after about 1.5 s.
+MAX_FRONTIER_SHAPES = 20_000
+
+# coefficients[i][j] is the n^j coefficient of p_i; initial terms a(0), ...
+Recurrence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 _tk_cache: dict[tuple[int, int], int] = {}
 
@@ -33,23 +54,73 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-class WalkTable:
-    """f_k(n, 0) for n = 0, 1, ..., max_n, extended one walk step at a time.
+class _GrowingTable:
+    """Terms a(0), ..., a(max_n) that a subclass's _step extends in order.
 
-    Keeps the frontier W_m of m-step walks from the empty shape; a step
-    appends f_k(2m+1, 0) = 0 and f_k(2m+2, 0).  Reads need no lock; growth
-    takes the table's own lock.
+    Reads need no lock; growth takes the table's own lock.
     """
 
-    def __init__(self, k: int):
-        self._max_rows = k - 1
-        self._counts = [1]
-        self._frontier: dict[tuple[int, ...], int] = {(): 1}
+    def __init__(self, initial):
+        self._terms = list(initial)
         self._lock = threading.Lock()
 
     @property
     def max_n(self) -> int:
-        return len(self._counts) - 1
+        return len(self._terms) - 1
+
+    def _step(self) -> None:
+        raise NotImplementedError
+
+    def ensure(self, n: int) -> None:
+        """Extend the table so every term up to n is filled."""
+        with self._lock:
+            while self.max_n < n:
+                self._step()
+
+    def value(self, n: int) -> int:
+        if n > self.max_n:
+            self.ensure(n)
+        return self._terms[n]
+
+
+class RecurrenceTable(_GrowingTable):
+    """Terms of a P-recursive sequence, extended one term at a time.
+
+    The sequence satisfies p_0(n) a(n) + p_1(n) a(n-1) + ... + p_r(n) a(n-r)
+    = 0 for every n past the initial terms, so each new term is an exact
+    quotient by p_0(n).  A remainder, or p_0(n) = 0, means the coefficients
+    are wrong and raises ArithmeticError.
+    """
+
+    def __init__(self, coefficients, initial):
+        super().__init__(initial)
+        self._polys = coefficients
+
+    def _step(self) -> None:
+        n, terms = len(self._terms), self._terms
+        lead, *rest = (sum(c * n**j for j, c in enumerate(p)) for p in self._polys)
+        if not lead:
+            raise ArithmeticError(f"leading coefficient vanishes at n={n}")
+        quotient, remainder = divmod(-sum(p * terms[n - i] for i, p in enumerate(rest, 1)), lead)
+        if remainder:
+            raise ArithmeticError(f"recurrence leaves remainder {remainder} at n={n}")
+        terms.append(quotient)
+
+
+class WalkTable(_GrowingTable):
+    """f_k(n, 0) for n = 0, 1, ..., max_n, extended one walk step at a time.
+
+    Keeps the frontier W_m of m-step walks from the empty shape; a step
+    appends f_k(2m+1, 0) = 0 and f_k(2m+2, 0).  With max_shapes set, a step
+    whose frontier would pass that many shapes raises BudgetExceededError
+    and leaves the table as it was.
+    """
+
+    def __init__(self, k: int, max_shapes: int | None = None):
+        super().__init__([1])
+        self._max_rows = k - 1
+        self._max_shapes = max_shapes
+        self._frontier: dict[tuple[int, ...], int] = {(): 1}
 
     def _step(self) -> None:
         nxt: dict[tuple[int, ...], int] = {}
@@ -70,19 +141,14 @@ class WalkTable:
                     v = shape[i] - 1
                     cand = shape[:i] + (v,) + shape[i + 1 :] if v else shape[:i]
                     nxt[cand] = get(cand, 0) + ways
+        if self._max_shapes is not None and len(nxt) > self._max_shapes:
+            raise BudgetExceededError(
+                f"f_{self._max_rows + 1}({self.max_n + 2}, 0) needs a walk frontier of "
+                f"{len(nxt)} shapes, over the bound of {self._max_shapes}; "
+                "no recurrence is committed for this k"
+            )
         self._frontier = nxt
-        self._counts += (0, sum(ways * ways for ways in nxt.values()))
-
-    def ensure(self, n: int) -> None:
-        """Extend the table so every count up to n is filled."""
-        with self._lock:
-            while self.max_n < n:
-                self._step()
-
-    def value(self, n: int) -> int:
-        if n > self.max_n:
-            self.ensure(n)
-        return self._counts[n]
+        self._terms += (0, sum(ways * ways for ways in nxt.values()))
 
 
 _walk_tables: dict[int, WalkTable] = {}
@@ -98,14 +164,19 @@ def fk_perfect(k: int, n: int) -> int:
         raise ValueError(f"crossing bound k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    table = _walk_tables.get(k) or _walk_tables.setdefault(k, WalkTable(k))
-    return table.value(n)
+    table = _fk_tables.get(k)
+    if table is not None:
+        return 0 if n % 2 else table.value(n // 2)
+    walks = _walk_tables.get(k) or _walk_tables.setdefault(
+        k, WalkTable(k, MAX_FRONTIER_SHAPES)
+    )
+    return walks.value(n)
 
 
 def fk_closed_form_k3(n: int) -> int:
     """Catalan closed form for the k = 3 perfect-matching count.
 
-    Independent of the walk table: C_{n/2+2} * C_{n/2} - C_{n/2+1}^2.
+    Independent of the recurrence table: C_{n/2+2} * C_{n/2} - C_{n/2+1}^2.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -130,6 +201,9 @@ def tk_total(k: int, n: int) -> int:
     """Total number of partial matchings on [n] with crossing number < k."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    table = _tk_tables.get(k)
+    if table is not None:
+        return table.value(n)
     key = (k, n)
     value = _tk_cache.get(key)
     if value is None:
@@ -138,3 +212,103 @@ def tk_total(k: int, n: int) -> int:
         )
         _tk_cache.setdefault(key, value)
     return value
+
+
+# BEGIN RECURRENCES (written by scripts/derive_recurrences.py; do not edit)
+FK_RECURRENCES: dict[int, Recurrence] = {
+    2: (
+        (
+            (1, 1),
+            (2, -4),
+        ),
+        (1,),
+    ),
+    3: (
+        (
+            (6, 5, 1),
+            (4, 0, -16),
+        ),
+        (1,),
+    ),
+    4: (
+        (
+            (90, 63, 14, 1),
+            (60, -32, -156, -40),
+            (-108, 396, -432, 144),
+        ),
+        (1, 1),
+    ),
+    5: (
+        (
+            (2520, 1522, 327, 30, 1),
+            (1728, -1372, -3620, -1056, -80),
+            (-2304, 7680, -6400, 0, 1024),
+        ),
+        (1, 1),
+    ),
+    6: (
+        (
+            (113400, 60390, 12177, 1177, 55, 1),
+            (80080, -77032, -144462, -41460, -4186, -140),
+            (-89520, 291556, -226680, -15980, 36480, 4144),
+            (54000, -246600, 405000, -306000, 108000, -14400),
+        ),
+        (1, 1, 3),
+    ),
+}
+TK_RECURRENCES: dict[int, Recurrence] = {
+    2: (
+        (
+            (2, 1),
+            (-1, -2),
+            (3, -3),
+        ),
+        (1, 1),
+    ),
+    3: (
+        (
+            (24, 10, 1),
+            (-15, -17, -3),
+            (9, 4, -13),
+            (30, -45, 15),
+        ),
+        (1, 1, 2),
+    ),
+    4: (
+        (
+            (720, 252, 28, 1),
+            (-495, -424, -78, -4),
+            (305, -25, -246, -34),
+            (580, -718, 62, 76),
+            (-630, 1155, -630, 105),
+        ),
+        (1, 1, 2, 4),
+    ),
+    5: (
+        (
+            (40320, 12176, 1308, 60, 1),
+            (-29393, -20663, -3574, -230, -5),
+            (18991, -5558, -11571, -1792, -70),
+            (27174, -32893, 2245, 3244, 230),
+            (-25452, 41928, -16773, -492, 789),
+            (-22680, 47250, -33075, 9450, -945),
+        ),
+        (1, 1, 2, 4, 10),
+    ),
+    6: (
+        (
+            (3628800, 966240, 97416, 4708, 110, 1),
+            (-2755377, -1658520, -265085, -17752, -535, -6),
+            (1857231, -766695, -941237, -141827, -7347, -125),
+            (2184480, -2660628, 215474, 238068, 22066, 540),
+            (-1987902, 3197739, -1188778, -78922, 54544, 3319),
+            (-2066472, 4119534, -2626905, 590340, -8763, -7734),
+            (1247400, -2848230, 2338875, -883575, 155925, -10395),
+        ),
+        (1, 1, 2, 4, 10, 26),
+    ),
+}
+# END RECURRENCES
+
+_fk_tables = {k: RecurrenceTable(*rec) for k, rec in FK_RECURRENCES.items()}
+_tk_tables = {k: RecurrenceTable(*rec) for k, rec in TK_RECURRENCES.items()}

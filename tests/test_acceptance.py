@@ -71,7 +71,7 @@ def test_criterion_2_closed_form():
     elapsed = time.time() - start
     if elapsed > 1.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 1 s")
-    _record(2, "walk DP equals Catalan closed form, even n <= 60", failures, elapsed)
+    _record(2, "f_3 table equals Catalan closed form, even n <= 60", failures, elapsed)
 
 
 def test_criterion_3_identity_verification():

@@ -76,6 +76,20 @@ def test_budget_refusal_exit_3(capsys):
     assert "budget" in err
 
 
+def test_count_without_recurrence_refuses_with_exit_3():
+    # k = 8 has no committed recurrence; its walk frontier passes the shape
+    # bound near n = 76, long before n = 400
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossing_count", "count", "--k", "8", "--n", "400"],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("refused: ") and "shapes" in proc.stderr
+
+
 def test_verify_all_green(capsys):
     code, out, _ = run_cli(capsys, "verify", "--which", "all", "--k", "3", "--order", "12")
     assert code == 0

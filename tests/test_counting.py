@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from crossing_count import counting
-from crossing_count.oracle import EnumSpec, enumerate_count
+from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count
 
 
 def test_catalan_values():
@@ -51,8 +52,8 @@ def test_closed_form_rejects_odd():
         counting.fk_closed_form_k3(5)
 
 
-def test_dp_matches_closed_form_to_60():
-    for n in range(0, 61, 2):
+def test_fk_perfect_matches_closed_form_to_1024():
+    for n in range(0, 1025, 2):
         assert counting.fk_perfect(3, n) == counting.fk_closed_form_k3(n)
 
 
@@ -75,18 +76,32 @@ def test_walk_table_same_values_in_any_query_order(k):
     assert up[1::2] == [0] * (n_max // 2)
 
 
-@pytest.mark.parametrize("k", range(3, 7))
+@pytest.mark.parametrize("k", range(3, 8))
 def test_fk_perfect_grows_its_table_no_further_than_asked(k, monkeypatch):
+    fresh = {j: counting.RecurrenceTable(*rec) for j, rec in counting.FK_RECURRENCES.items()}
+    monkeypatch.setattr(counting, "_fk_tables", fresh)
     monkeypatch.setattr(counting, "_walk_tables", {})
-    for n in (0, 7, 10, 31, 64):
+    for n in (0, 7, 10, 14, 31, 64):
         counting.fk_perfect(k, n)
-        assert counting._walk_tables[k].max_n + 1 <= n + 2  # entries for 0..max_n
+        if k in fresh:  # entries a(0..max_n), a(m) = f_k(2m, 0)
+            initial = counting.FK_RECURRENCES[k][1]
+            assert fresh[k].max_n <= max(n // 2, len(initial) - 1)
+        else:  # k = 7 walks: entries for 0..max_n
+            assert counting._walk_tables[k].max_n + 1 <= n + 2
 
 
-def test_walk_table_concurrent_growth_matches_sequential():
-    queries = list(range(81))
-    expected = [counting.WalkTable(4).value(n) for n in queries]
-    table = counting.WalkTable(4)
+@pytest.mark.parametrize("k", range(2, 7))
+def test_tk_total_grows_its_table_no_further_than_asked(k, monkeypatch):
+    fresh = {j: counting.RecurrenceTable(*rec) for j, rec in counting.TK_RECURRENCES.items()}
+    monkeypatch.setattr(counting, "_tk_tables", fresh)
+    initial = counting.TK_RECURRENCES[k][1]
+    for n in (0, 7, 10, 14, 31, 64):
+        counting.tk_total(k, n)
+        assert fresh[k].max_n <= max(n, len(initial) - 1)
+
+
+def _grow_concurrently(table, queries):
+    """table.value at each query, asked by 6 threads in shuffled orders."""
     start = threading.Barrier(6)
     results = []
 
@@ -107,8 +122,24 @@ def test_walk_table_concurrent_growth_matches_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert results == [expected] * 6
+    return results
+
+
+def test_walk_table_concurrent_growth_matches_sequential():
+    queries = list(range(81))
+    expected = [counting.WalkTable(4).value(n) for n in queries]
+    table = counting.WalkTable(4)
+    assert _grow_concurrently(table, queries) == [expected] * 6
     assert table.max_n == 80
+
+
+def test_recurrence_table_concurrent_growth_matches_sequential():
+    queries = list(range(1501))
+    sequential = counting.RecurrenceTable(*counting.TK_RECURRENCES[4])
+    expected = [sequential.value(n) for n in queries]
+    table = counting.RecurrenceTable(*counting.TK_RECURRENCES[4])
+    assert _grow_concurrently(table, queries) == [expected] * 6
+    assert table.max_n == 1500
 
 
 def test_k2_is_catalan():
@@ -171,3 +202,75 @@ def test_concurrent_calls_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda job: counting.fk_perfect(*job), jobs))
     assert results == [counting.fk_perfect(k, n) for k, n in jobs]
+
+
+@functools.cache
+def _walks(k):
+    """One shared walk table per k, the oracle for the recurrences."""
+    return counting.WalkTable(k)
+
+
+def _unknowns(rec):
+    coefficients, _ = rec
+    return sum(len(p) for p in coefficients)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_fk_recurrence_matches_walk_table(k):
+    rec = counting.FK_RECURRENCES[k]
+    terms = 2 * _unknowns(rec)
+    table = counting.RecurrenceTable(*rec)
+    assert [table.value(m) for m in range(terms)] == [
+        _walks(k).value(2 * m) for m in range(terms)
+    ]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_tk_recurrence_matches_binomial_sum(k):
+    rec = counting.TK_RECURRENCES[k]
+    terms = 2 * _unknowns(rec)
+    table = counting.RecurrenceTable(*rec)
+    assert [table.value(n) for n in range(terms)] == [
+        sum(math.comb(n, 2 * m) * _walks(k).value(2 * m) for m in range(n // 2 + 1))
+        for n in range(terms)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["f", "T"])
+@pytest.mark.parametrize("k", range(3, 7))
+def test_mutated_coefficient_raises(k, kind):
+    # f_2 is left out: two one-unit changes there give the central
+    # binomials and (2m)!/m!, integer sequences of their own
+    recurrences = counting.FK_RECURRENCES if kind == "f" else counting.TK_RECURRENCES
+    coefficients, initial = recurrences[k]
+    for i, poly in enumerate(coefficients):
+        for j in range(len(poly)):
+            for delta in (1, -1):
+                bent = list(poly)
+                bent[j] += delta
+                mutated = coefficients[:i] + (tuple(bent),) + coefficients[i + 1 :]
+                with pytest.raises(ArithmeticError):
+                    counting.RecurrenceTable(mutated, initial).ensure(20)
+
+
+def test_vanishing_leading_coefficient_raises():
+    table = counting.RecurrenceTable(((-3, 1), (1,)), (1,))  # (n - 3) a(n) + a(n - 1)
+    with pytest.raises(ArithmeticError):
+        table.ensure(5)
+
+
+def test_walk_table_refuses_past_its_shape_bound():
+    bounded = counting.WalkTable(8, max_shapes=100)
+    with pytest.raises(BudgetExceededError):
+        bounded.ensure(40)
+    reached = bounded.max_n
+    with pytest.raises(BudgetExceededError):  # the same step refuses again
+        bounded.ensure(40)
+    assert bounded.max_n == reached
+    assert [bounded.value(n) for n in range(reached + 1)] == [
+        _walks(8).value(n) for n in range(reached + 1)
+    ]
+
+
+def test_fk_perfect_guard_lets_k7_to_64_pass():
+    assert counting.fk_perfect(7, 64) == _walks(7).value(64)

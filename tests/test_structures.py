@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -112,6 +113,26 @@ def test_sum_rule_over_isolated():
             parts = [s_k3_by_isolated(k, n, ell) for ell in range(n + 1)]
             assert all(p >= 0 for p in parts)
             assert sum(parts) == s_k3(k, n)
+
+
+@pytest.mark.parametrize("k", range(3, 7))
+def test_counts_match_a_walk_table_recomputation(k):
+    # the production path reads the recurrence tables; rebuild every count
+    # from the walk table and the binomial sum instead
+    n_max = 60
+    walks = counting.WalkTable(k)
+    f = [walks.value(n) for n in range(n_max + 1)]
+    t = [sum(math.comb(n, 2 * m) * f[2 * m] for m in range(n // 2 + 1)) for n in range(n_max + 1)]
+
+    def signed(n, terms):
+        return sum((-1) ** b * lambda_weight(n, b) * terms(n - 2 * b) for b in range(n // 2 + 1))
+
+    for n in (n_max - 1, n_max):
+        assert s_k3(k, n) == signed(n, t.__getitem__)
+        for ell in range(0, n + 1, 7):
+            assert s_k3_by_isolated(k, n, ell) == signed(
+                n, lambda m: math.comb(m, ell) * f[m - ell] if m >= ell else 0
+            )
 
 
 def test_structure_counts_are_cached():
