@@ -1,6 +1,6 @@
 """Guess P-recurrences for f_k(2m, 0) and T_k(n), k = 2..6, and commit them.
 
-    PYTHONPATH=src python3 scripts/derive_recurrences.py [--check]
+    PYTHONPATH=src python3 scripts/derive_recurrences.py
 
 A P-recurrence of order r and degree d is
 
@@ -16,8 +16,7 @@ space is one-dimensional, so the recurrence is fixed by the data with as
 many equations again to spare.
 
 The recurrences and their initial terms replace the block between the
-BEGIN/END markers in src/crossing_count/counting.py.  With --check the
-file is left alone and the exit code is 1 if the block would change.
+BEGIN/END markers in src/crossing_count/counting.py.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ def render(fk: dict, tk: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
+def main() -> None:
     fk, tk = {}, {}
     for k in K_RANGE:
         f, t = sequences(k)
@@ -134,12 +133,8 @@ def main(argv: list[str]) -> int:
     source = COUNTING_PY.read_text()
     head, rest = source.split(BEGIN, 1)
     tail = rest.split(END, 1)[1]
-    updated = head + render(fk, tk) + tail
-    if "--check" in argv:
-        return int(updated != source)
-    COUNTING_PY.write_text(updated)
-    return 0
+    COUNTING_PY.write_text(head + render(fk, tk) + tail)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

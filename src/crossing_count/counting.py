@@ -44,8 +44,6 @@ MAX_FRONTIER_SHAPES = 20_000
 # coefficients[i][j] is the n^j coefficient of p_i; initial terms a(0), ...
 Recurrence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
-_tk_cache: dict[tuple[int, int], int] = {}
-
 
 def catalan(m: int) -> int:
     """m-th Catalan number, binom(2m, m) / (m + 1)."""
@@ -204,14 +202,7 @@ def tk_total(k: int, n: int) -> int:
     table = _tk_tables.get(k)
     if table is not None:
         return table.value(n)
-    key = (k, n)
-    value = _tk_cache.get(key)
-    if value is None:
-        value = sum(
-            math.comb(n, 2 * m) * fk_perfect(k, 2 * m) for m in range(n // 2 + 1)
-        )
-        _tk_cache.setdefault(key, value)
-    return value
+    return sum(math.comb(n, 2 * m) * fk_perfect(k, 2 * m) for m in range(n // 2 + 1))
 
 
 # BEGIN RECURRENCES (written by scripts/derive_recurrences.py; do not edit)
