@@ -2,7 +2,8 @@
 with minimum arc length 3.
 
 Counting is exact (arbitrary-precision integers), generating-function
-identities are verified with exact rational series, and the growth
+identities are verified with exact series (integer ones, and rational
+only for the Bessel-determinant EGF), and the growth
 constants come from closed-form quartic solving plus Newton refinement.
 """
 

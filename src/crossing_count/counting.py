@@ -52,10 +52,11 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-class _GrowingTable:
+class GrowingTable:
     """Terms a(0), ..., a(max_n) that a subclass's _step extends in order.
 
-    Reads need no lock; growth takes the table's own lock.
+    A term is any value that is appended whole and never changed, so reads
+    need no lock; growth takes the table's own lock.
     """
 
     def __init__(self, initial):
@@ -81,7 +82,7 @@ class _GrowingTable:
         return self._terms[n]
 
 
-class RecurrenceTable(_GrowingTable):
+class RecurrenceTable(GrowingTable):
     """Terms of a P-recursive sequence, extended one term at a time.
 
     The sequence satisfies p_0(n) a(n) + p_1(n) a(n-1) + ... + p_r(n) a(n-r)
@@ -105,7 +106,7 @@ class RecurrenceTable(_GrowingTable):
         terms.append(quotient)
 
 
-class WalkTable(_GrowingTable):
+class WalkTable(GrowingTable):
     """f_k(n, 0) for n = 0, 1, ..., max_n, extended one walk step at a time.
 
     Keeps the frontier W_m of m-step walks from the empty shape; a step

@@ -1,30 +1,41 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series with exact coefficients.
 
-A TruncatedSeries is a coefficient vector of Fractions, closed under a
-fixed truncation order N: all arithmetic (including reciprocal and
-composition) is exact modulo x^{N+1}.  The verify_* functions rebuild
-both sides of the generating-function identities that tie the structure
-counts to the matching counts and report the first coefficient where
-the two sides disagree, if any.
+A TruncatedSeries is a coefficient vector closed under a fixed
+truncation order N: all arithmetic (including reciprocal and
+composition) is exact modulo x^{N+1}, in the ring of its coefficients.
+Integer series stay integer, and so does the reciprocal of one with
+constant term 1 or -1; any other reciprocal gives Fractions.  The
+verify_* functions rebuild both sides of the generating-function
+identities that tie the structure counts to the matching counts and
+report the first coefficient where the two sides disagree, if any.  All
+of them but the Bessel check run on plain integers: only that
+determinant of exponential generating functions is rational.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from . import counting, structures
 
 
 class TruncatedSeries:
-    """Exact power series modulo x^(order+1)."""
+    """Exact power series modulo x^(order+1).
+
+    Coefficients must be exact (numbers.Rational: int or Fraction); any
+    other value raises TypeError, so a float can never enter a series.
+    """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, numbers.Rational):
+                raise TypeError(f"series coefficients must be exact rationals, got {c!r}")
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -32,7 +43,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         self.order = order
         self.coeffs = coeffs
 
@@ -48,7 +59,7 @@ class TruncatedSeries:
     def x(cls, order: int) -> "TruncatedSeries":
         return cls([0, 1], order)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> numbers.Rational:
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
@@ -76,12 +87,12 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncatedSeries):  # a scalar
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         self._check_order(other)
         n = self.order
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -98,10 +109,10 @@ class TruncatedSeries:
         a = self.coeffs
         if not a[0]:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * self.order
+        inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
+        out = [inv0] + [0] * self.order
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, n + 1):
                 if a[i]:
                     acc += a[i] * out[n - i]
@@ -134,11 +145,6 @@ class TruncatedSeries:
         return result
 
 
-def geometric(order: int) -> TruncatedSeries:
-    """1/(1-x) truncated at order."""
-    return TruncatedSeries([1] * (order + 1), order)
-
-
 def exponential(order: int) -> TruncatedSeries:
     """sum x^n / n! truncated at order."""
     return TruncatedSeries(
@@ -153,7 +159,7 @@ def bessel_i(r: int, order: int) -> TruncatedSeries:
     positive ones.
     """
     r = abs(r)
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for j in range((order - r) // 2 + 1):
         e = 2 * j + r
         if e <= order:
@@ -162,21 +168,26 @@ def bessel_i(r: int, order: int) -> TruncatedSeries:
 
 
 def determinant(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
-    """Permutation-expansion determinant of a small series matrix."""
-    size = len(matrix)
-    order = matrix[0][0].order
-    total = TruncatedSeries.zero(order)
-    for perm in permutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = TruncatedSeries.one(order)
-        for i in range(size):
-            term = term * matrix[i][perm[i]]
-        total = total + term * sign
-    return total
+    """Determinant of a square series matrix by Gaussian elimination.
+
+    Rows are never exchanged, so every pivot must be invertible, that is,
+    have a nonzero constant term; a zero one raises ValueError.  The
+    Bessel matrix is the identity at x = 0, so each of its pivots starts
+    with 1.
+    """
+    rows = [list(row) for row in matrix]
+    det = TruncatedSeries.one(rows[0][0].order)
+    for c, pivot_row in enumerate(rows):
+        pivot = pivot_row[c]
+        if not pivot[0]:
+            raise ValueError(f"pivot {c} has a zero constant term")
+        det = det * pivot
+        inverse = pivot.reciprocal()
+        for row in rows[c + 1 :]:
+            factor = row[c] * inverse
+            for j in range(c + 1, len(rows)):
+                row[j] = row[j] - factor * pivot_row[j]
+    return det
 
 
 @dataclass(frozen=True)
@@ -187,8 +198,8 @@ class IdentityReport:
     order: int
     ok: bool
     first_mismatch: int | None = None
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
+    lhs: numbers.Rational | None = None
+    rhs: numbers.Rational | None = None
 
     def describe(self) -> str:
         if self.ok:
@@ -206,29 +217,32 @@ def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityR
     return IdentityReport(name, lhs.order, True)
 
 
-def _even_part(k: int, order: int) -> TruncatedSeries:
-    """sum f_k(2m, 0) y^(2m), truncated at order."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for m in range(order // 2 + 1):
-        coeffs[2 * m] = Fraction(counting.fk_perfect(k, 2 * m))
-    return TruncatedSeries(coeffs, order)
+def _sequence(term, k: int, order: int) -> TruncatedSeries:
+    """sum term(k, n) x^n, truncated at order."""
+    return TruncatedSeries([term(k, n) for n in range(order + 1)], order)
+
+
+def _substitution(
+    name: str, term, k: int, order: int, numerator: list[int], denominator: list[int]
+) -> IdentityReport:
+    """sum term(k, n) x^n  ==  1/D * F_k(N/D), F_k(y) = sum f_k(2m,0) y^(2m).
+
+    N and D are polynomial coefficient lists with N(0) = 0 and D(0) = 1, so
+    the right side stays in Z[[x]].  Left side from the counts, right side
+    rebuilt through series arithmetic only; the two routes are independent.
+    """
+    lhs = _sequence(term, k, order)
+    f_k = TruncatedSeries(
+        [0 if n % 2 else counting.fk_perfect(k, n) for n in range(order + 1)], order
+    )
+    inverse = TruncatedSeries(denominator, order).reciprocal()
+    rhs = inverse * f_k.compose(TruncatedSeries(numerator, order) * inverse)
+    return _compare(name, lhs, rhs)
 
 
 def verify_laplace_identity(k: int, order: int) -> IdentityReport:
-    """sum T_k(n) x^n  ==  1/(1-x) * sum f_k(2n,0) (x/(1-x))^(2n).
-
-    Left side from the partial-matching counts, right side rebuilt
-    through series arithmetic only; the two routes are independent.
-    """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    lhs = TruncatedSeries(
-        [counting.tk_total(k, n) for n in range(order + 1)], order
-    )
-    inv = geometric(order)
-    ratio = TruncatedSeries.x(order) * inv
-    rhs = inv * _even_part(k, order).compose(ratio)
-    return _compare(f"laplace(k={k})", lhs, rhs)
+    """sum T_k(n) x^n  ==  1/(1-x) * sum f_k(2n,0) (x/(1-x))^(2n)."""
+    return _substitution(f"laplace(k={k})", counting.tk_total, k, order, [0, 1], [1, -1])
 
 
 def verify_functional_equation(k: int, order: int) -> IdentityReport:
@@ -237,23 +251,15 @@ def verify_functional_equation(k: int, order: int) -> IdentityReport:
     Right side: 1/u(x) * sum f_k(2n,0) ((x-x^3)/u(x))^(2n) with
     u(x) = 1 - x + x^2 + x^3 - x^4.
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    lhs = TruncatedSeries(
-        [structures.s_k3(k, n) for n in range(order + 1)], order
+    return _substitution(
+        f"functional(k={k})", structures.s_k3, k, order, [0, 1, 0, -1], [1, -1, 1, 1, -1]
     )
-    u_inv = TruncatedSeries([1, -1, 1, 1, -1], order).reciprocal()
-    w = TruncatedSeries([0, 1, 0, -1], order) * u_inv
-    rhs = u_inv * _even_part(k, order).compose(w)
-    return _compare(f"functional(k={k})", lhs, rhs)
 
 
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
     """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n."""
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
     lhs = TruncatedSeries(
         [structures.lambda_weight(n + 2 * b, b) for b in range(order + 1)], order
     )
@@ -270,28 +276,18 @@ def verify_bessel_egf(k: int, order: int) -> IdentityReport:
     n! [x^n] det = f_k(n, 0), and after multiplying by e^x,
     n! [x^n] (e^x det) = T_k(n).
     """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
     size = k - 1
     matrix = [
         [bessel_i(i - j, order) - bessel_i(i + j, order) for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
     det = determinant(matrix)
-    lhs_f = TruncatedSeries(
-        [det[n] * math.factorial(n) for n in range(order + 1)], order
-    )
-    rhs_f = TruncatedSeries(
-        [counting.fk_perfect(k, n) for n in range(order + 1)], order
-    )
-    report = _compare(f"bessel-det(k={k})", lhs_f, rhs_f)
-    if not report.ok:
-        return report
-    egf = exponential(order) * det
-    lhs_t = TruncatedSeries(
-        [egf[n] * math.factorial(n) for n in range(order + 1)], order
-    )
-    rhs_t = TruncatedSeries(
-        [counting.tk_total(k, n) for n in range(order + 1)], order
-    )
-    return _compare(f"bessel-egf(k={k})", lhs_t, rhs_t)
+    for name, egf, term in (
+        (f"bessel-det(k={k})", det, counting.fk_perfect),
+        (f"bessel-egf(k={k})", exponential(order) * det, counting.tk_total),
+    ):
+        lhs = TruncatedSeries([egf[n] * math.factorial(n) for n in range(order + 1)], order)
+        report = _compare(name, lhs, _sequence(term, k, order))
+        if not report.ok:
+            break
+    return report

@@ -21,57 +21,43 @@ despite the alternating signs every count is nonnegative.
 
 from __future__ import annotations
 
-import threading
-
 from . import counting
 
-_s_cache: dict[tuple[int, int], int] = {}
-_s_ell_cache: dict[tuple[int, int, int], int] = {}
+# S_{k,3}(n) under the key (k, n, None), the count with ell isolated
+# vertices under (k, n, ell)
+_s_cache: dict[tuple[int, int, int | None], int] = {}
 
 
-class LambdaTable:
-    """Bottom-up table of the short-arc weights lam(n, b).
-
-    Reads need no lock: rows are appended whole and never changed.  Growth
-    takes the table's own lock, so concurrent queries fill each row once.
-    """
+class LambdaTable(counting.GrowingTable):
+    """Bottom-up table of the short-arc weights lam(n, b), one row per n."""
 
     def __init__(self, max_n: int = 0):
-        self._rows: list[list[int]] = []
-        self._lock = threading.Lock()
+        super().__init__([[1]])
         self.ensure(max_n)
-
-    @property
-    def max_n(self) -> int:
-        return len(self._rows) - 1
 
     def _get(self, n: int, b: int) -> int:
         if n < 0 or b < 0 or 2 * b > n:
             return 0
-        return self._rows[n][b]
+        return self._terms[n][b]
 
-    def ensure(self, n: int) -> None:
-        """Extend the table so every row up to n is filled."""
-        with self._lock:
-            for m in range(len(self._rows), n + 1):
-                row = [1] + [0] * (m // 2)
-                for b in range(1, m // 2 + 1):
-                    row[b] = (
-                        self._get(m - 1, b)
-                        + self._get(m - 2, b - 1)
-                        + self._get(m - 3, b - 1)
-                        + self._get(m - 4, b - 2)
-                    )
-                self._rows.append(row)
+    def _step(self) -> None:
+        m = len(self._terms)
+        row = [1] + [0] * (m // 2)
+        for b in range(1, m // 2 + 1):
+            row[b] = (
+                self._get(m - 1, b)
+                + self._get(m - 2, b - 1)
+                + self._get(m - 3, b - 1)
+                + self._get(m - 4, b - 2)
+            )
+        self._terms.append(row)
 
     def value(self, n: int, b: int) -> int:
         if n < 0:
             raise ValueError(f"row index must be nonnegative, got {n}")
         if b < 0 or 2 * b > n:
             return 0
-        if n > self.max_n:
-            self.ensure(n)
-        return self._rows[n][b]
+        return super().value(n)[b]
 
 
 _table = LambdaTable()
@@ -82,23 +68,31 @@ def lambda_weight(n: int, b: int) -> int:
     return _table.value(n, b)
 
 
+def _signed_sum(k: int, n: int, ell: int | None) -> int:
+    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell."""
+    key = (k, n, ell)
+    value = _s_cache.get(key)
+    if value is None:
+        value = 0
+        for b in range((n - (ell or 0)) // 2 + 1):
+            m = n - 2 * b
+            count = counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell)
+            term = lambda_weight(n, b) * count
+            value += -term if b % 2 else term
+        if value < 0:
+            where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")
+            raise ArithmeticError(f"signed sum collapsed below zero for {where}")
+        _s_cache.setdefault(key, value)
+    return value
+
+
 def s_k3(k: int, n: int) -> int:
     """Number of k-noncrossing structures on [n] with arc length >= 3."""
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    key = (k, n)
-    value = _s_cache.get(key)
-    if value is None:
-        value = 0
-        for b in range(n // 2 + 1):
-            term = lambda_weight(n, b) * counting.tk_total(k, n - 2 * b)
-            value += -term if b % 2 else term
-        if value < 0:
-            raise ArithmeticError(f"signed sum collapsed below zero for k={k}, n={n}")
-        _s_cache.setdefault(key, value)
-    return value
+    return _signed_sum(k, n, None)
 
 
 def s_k3_by_isolated(k: int, n: int, ell: int) -> int:
@@ -107,16 +101,4 @@ def s_k3_by_isolated(k: int, n: int, ell: int) -> int:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    key = (k, n, ell)
-    value = _s_ell_cache.get(key)
-    if value is None:
-        value = 0
-        for b in range((n - ell) // 2 + 1):
-            term = lambda_weight(n, b) * counting.fk_partial(k, n - 2 * b, ell)
-            value += -term if b % 2 else term
-        if value < 0:
-            raise ArithmeticError(
-                f"signed sum collapsed below zero for k={k}, n={n}, ell={ell}"
-            )
-        _s_ell_cache.setdefault(key, value)
-    return value
+    return _signed_sum(k, n, ell)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from crossing_count import counting
+from crossing_count import counting, structures
 from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count
 
 
@@ -90,14 +90,29 @@ def test_fk_perfect_grows_its_table_no_further_than_asked(k, monkeypatch):
             assert counting._walk_tables[k].max_n + 1 <= n + 2
 
 
-@pytest.mark.parametrize("k", range(2, 7))
-def test_tk_total_grows_its_table_no_further_than_asked(k, monkeypatch):
-    fresh = {j: counting.RecurrenceTable(*rec) for j, rec in counting.TK_RECURRENCES.items()}
-    monkeypatch.setattr(counting, "_tk_tables", fresh)
-    initial = counting.TK_RECURRENCES[k][1]
+def _fresh_tk_table(monkeypatch, k):
+    """A new T_k table in place of the module's: (table, query, initial max_n)."""
+    table = counting.RecurrenceTable(*counting.TK_RECURRENCES[k])
+    monkeypatch.setitem(counting._tk_tables, k, table)
+    return table, functools.partial(counting.tk_total, k), len(counting.TK_RECURRENCES[k][1]) - 1
+
+
+def _fresh_lambda_table(monkeypatch):
+    table = structures.LambdaTable()
+    monkeypatch.setattr(structures, "_table", table)
+    return table, lambda n: structures.lambda_weight(n, 0), 0
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [*(functools.partial(_fresh_tk_table, k=k) for k in range(2, 7)), _fresh_lambda_table],
+    ids=[*(f"tk_total-{k}" for k in range(2, 7)), "lambda_weight"],
+)
+def test_table_grows_no_further_than_asked(fresh, monkeypatch):
+    table, query, initial_max_n = fresh(monkeypatch)
     for n in (0, 7, 10, 14, 31, 64):
-        counting.tk_total(k, n)
-        assert fresh[k].max_n <= max(n, len(initial) - 1)
+        query(n)
+        assert table.max_n <= max(n, initial_max_n)
 
 
 def _grow_concurrently(table, queries):

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crossing_count import counting, structures
 from crossing_count import powerseries as ps
 from crossing_count.powerseries import TruncatedSeries
 
@@ -56,8 +59,8 @@ def test_reciprocal_rejects_zero_constant():
 
 
 def test_compose_geometric_with_square():
-    comp = ps.geometric(10).compose(poly(0, 0, 1))
-    assert comp.coeffs == [Fraction(n % 2 == 0) for n in range(11)]
+    comp = poly(1, -1).reciprocal().compose(poly(0, 0, 1))
+    assert comp.coeffs == [int(n % 2 == 0) for n in range(11)]
 
 
 def test_compose_identities():
@@ -68,7 +71,7 @@ def test_compose_identities():
 
 
 def test_compose_moebius():
-    half = TruncatedSeries.x(10) * ps.geometric(10)  # x/(1-x)
+    half = TruncatedSeries.x(10) * poly(1, -1).reciprocal()  # x/(1-x)
     comp = half.compose(half)
     assert [comp[i] for i in range(5)] == [0, 1, 2, 4, 8]  # x/(1-2x)
 
@@ -137,12 +140,123 @@ def test_bessel_series_symmetric_in_order():
     assert ps.bessel_i(-2, 12) == ps.bessel_i(2, 12)
 
 
-def test_reconstructed_structure_coefficients_are_integers():
-    order = 25
-    u_inv = TruncatedSeries([1, -1, 1, 1, -1], order).reciprocal()
-    w = TruncatedSeries([0, 1, 0, -1], order) * u_inv
-    rhs = u_inv * ps._even_part(3, order).compose(w)
-    assert all(c.denominator == 1 for c in rhs.coeffs)
+def test_reconstructed_structure_coefficients_are_integers(monkeypatch):
+    # every side the laplace, functional and phi checks compare is built
+    # from plain ints: no Fraction is made on the way
+    compared = []
+
+    def spy(name, lhs, rhs):
+        compared.append(name)
+        for side in (lhs, rhs):
+            assert all(type(c) is int for c in side.coeffs), name
+        return compare(name, lhs, rhs)
+
+    compare = ps._compare
+    monkeypatch.setattr(ps, "_compare", spy)
+    assert ps.verify_laplace_identity(3, 25).ok
+    assert ps.verify_functional_equation(3, 25).ok
+    assert ps.verify_functional_equation(5, 20).ok
+    assert ps.verify_phi_identity(3, 15).ok
+    assert compared == ["laplace(k=3)", "functional(k=3)", "functional(k=5)", "phi(n=3)"]
+
+
+def test_integer_series_stay_integer():
+    a, b = poly(1, 2, -3, 0, 5), poly(-1, 0, 4, 7)
+    inner = poly(0, 1, -2, 3)
+    for result in (a * b, a * 3, a.reciprocal(), b.reciprocal(), a.compose(inner), a.pow(4)):
+        assert all(type(c) is int for c in result.coeffs)
+    assert a * a.reciprocal() == TruncatedSeries.one(10)
+
+
+def test_reciprocal_of_non_unit_integer_constant_is_exact():
+    r = poly(2, 1).reciprocal()
+    assert all(type(c) is Fraction for c in r.coeffs)
+    assert r.coeffs == [Fraction((-1) ** n, 2 ** (n + 1)) for n in range(11)]
+    assert poly(2, 1) * r == TruncatedSeries.one(10)
+
+
+def test_inexact_coefficient_rejected():
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 0.5])
+    with pytest.raises(TypeError):
+        poly(1, 1) * 0.5
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, complex(0, 1)])
+
+
+def _permutation_determinant(matrix):
+    """Leibniz expansion over all permutations: the oracle for determinant."""
+    size = len(matrix)
+    order = matrix[0][0].order
+    total = TruncatedSeries.zero(order)
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = TruncatedSeries.one(order)
+        for i in range(size):
+            term = term * matrix[i][perm[i]]
+        total = total + term * (-1) ** inversions
+    return total
+
+
+def _bessel_matrix(k, order):
+    return [
+        [ps.bessel_i(i - j, order) - ps.bessel_i(i + j, order) for j in range(1, k)]
+        for i in range(1, k)
+    ]
+
+
+INTEGER_MATRIX = [
+    [poly(1, 2, 0, 1, order=8), poly(0, 3, order=8), poly(5, order=8)],
+    [poly(2, -1, order=8), poly(-1, 0, 2, order=8), poly(0, 0, 1, order=8)],
+    [poly(0, 1, 1, order=8), poly(4, order=8), poly(3, 1, order=8)],
+]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [*(_bessel_matrix(k, 14) for k in range(3, 7)), INTEGER_MATRIX],
+    ids=[*(f"bessel-{k}" for k in range(3, 7)), "integer"],
+)
+def test_determinant_matches_permutation_expansion(matrix):
+    assert ps.determinant(matrix) == _permutation_determinant(matrix)
+
+
+def test_determinant_rejects_zero_pivot_constant():
+    x, one = TruncatedSeries.x(6), TruncatedSeries.one(6)
+    with pytest.raises(ValueError, match="pivot"):
+        ps.determinant([[x, one], [one, x]])
+
+
+def test_bessel_determinant_at_k_12():
+    # for n < 2k no k arcs can cross, so f_12(n, 0) = (n-1)!! and T_12(n)
+    # is the involution number
+    k, order = 12, 12
+    det = ps.determinant(_bessel_matrix(k, order))
+    egf = ps.exponential(order) * det
+    involutions = [1, 1]
+    for n in range(2, order + 1):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    for n in range(order + 1):
+        double_factorial = 0 if n % 2 else math.prod(range(1, n, 2))
+        assert det[n] * math.factorial(n) == double_factorial == counting.fk_perfect(k, n)
+        assert egf[n] * math.factorial(n) == involutions[n] == counting.tk_total(k, n)
+    assert ps.verify_bessel_egf(k, order).ok
+
+
+def test_functional_equation_pinpoints_a_wrong_structure_count(monkeypatch):
+    s_k3 = structures.s_k3
+    monkeypatch.setattr(structures, "s_k3", lambda k, n: s_k3(k, n) + (n == 7))
+    report = ps.verify_functional_equation(3, 20)
+    assert report.first_mismatch == 7
+    assert report.describe() == "functional(k=3): MISMATCH at x^7 (lhs=41, rhs=40)"
+
+
+def test_laplace_identity_pinpoints_a_wrong_matching_count(monkeypatch):
+    tk_total = counting.tk_total
+    monkeypatch.setattr(counting, "tk_total", lambda k, n: tk_total(k, n) + (n == 7))
+    report = ps.verify_laplace_identity(3, 20)
+    assert report.first_mismatch == 7
+    assert report.describe() == "laplace(k=3): MISMATCH at x^7 (lhs=226, rhs=225)"
 
 
 def test_report_pinpoints_first_mismatch():

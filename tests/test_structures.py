@@ -179,7 +179,7 @@ def test_negative_signed_sum_raises_arithmetic_error(monkeypatch):
     with pytest.raises(ArithmeticError, match="below zero"):
         structures.s_k3(3, 10)
     monkeypatch.setattr(counting, "fk_partial", lambda k, m, ell: _only_one_short_arc(k, m))
-    monkeypatch.setattr(structures, "_s_ell_cache", {})
+    monkeypatch.setattr(structures, "_s_cache", {})
     with pytest.raises(ArithmeticError, match="below zero"):
         structures.s_k3_by_isolated(3, 10, 0)
 
