@@ -20,16 +20,18 @@ cubic) with complex arithmetic throughout, then every root is polished
 by Newton iteration on the original polynomial; double precision plus
 that refinement is enough for all the constants handled here, whose
 reference values carry at most 1e-5 accuracy.
+
+Only the functions that need exact counts (estimate_rk,
+exact_subexp_factor, estimate_kprime) import the counting layers, so
+solving a quartic or computing a growth constant loads neither.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-from . import counting, structures
 
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
 KPRIME = 6.11170
@@ -95,17 +97,14 @@ def solve_cubic_depressed(p: float, q: float) -> tuple[complex, complex, complex
     return tuple(roots)
 
 
-@dataclass(frozen=True)
-class QuarticProblem:
-    """Coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e, a != 0."""
+class QuarticProblem(namedtuple("QuarticProblem", "a b c d e")):
+    """Coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e, all finite, a != 0."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        if not all(map(math.isfinite, self)):
+            raise ValueError(f"coefficients must be finite, got {tuple(self)}")
         if self.a == 0:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -196,6 +195,8 @@ def estimate_rk(k: int, n_max: int) -> float:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
     if n_max < 10:
         raise ValueError(f"need n_max >= 10 for a usable tail, got {n_max}")
+    from . import counting
+
     m_max = n_max // 2
     f = [counting.fk_perfect(k, 2 * m) for m in range(m_max + 1)]
     seq = [(m, math.sqrt(f[m - 1] / f[m])) for m in range(1, m_max + 1)]
@@ -207,16 +208,12 @@ def estimate_rk(k: int, n_max: int) -> float:
     return seq[-1][1]
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Dominant singularity and growth rate for one crossing bound."""
+class GrowthReport(namedtuple("GrowthReport", "k radius rho growth_rate residual roots")):
+    """Dominant singularity rho and growth rate 1/rho for one crossing
+    bound k, with the radius r_k as a float, the residual |theta(rho) - r_k|
+    and the four roots of the cleared quartic."""
 
-    k: int
-    radius: float
-    rho: float
-    growth_rate: float
-    residual: float
-    roots: tuple[complex, ...]
+    __slots__ = ()
 
 
 def _clearing_coefficients(r) -> tuple[float, float, float, float, float]:
@@ -286,21 +283,21 @@ def exact_subexp_factor(n: int, base: float) -> float:
         raise ValueError(f"n must be nonnegative, got {n}")
     if base <= 1:
         raise ValueError(f"base must exceed 1, got {base}")
+    from . import structures
+
     return _scaled_count(structures.s_k3(3, n), base, n)
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(
+    namedtuple("AsymptoticEstimate", "n subexponential full_log10 kprime", defaults=(KPRIME,))
+):
     """Asymptotic approximation at one n, with the full value log-scaled.
 
     full_log10 = log10(subexponential * base^n); the plain value would
     overflow floats long before the interesting range ends.
     """
 
-    n: int
-    subexponential: float
-    full_log10: float
-    kprime: float = KPRIME
+    __slots__ = ()
 
 
 def asymptotic_estimate(n: int, base: float = GROWTH_RATE_K3) -> AsymptoticEstimate:
@@ -311,27 +308,25 @@ def asymptotic_estimate(n: int, base: float = GROWTH_RATE_K3) -> AsymptoticEstim
     )
 
 
-@dataclass(frozen=True)
-class KprimeReport:
+class KprimeReport(namedtuple("KprimeReport", "n_max rho estimate raw_last values")):
     """Convergence data for the subexponential constant K'.
 
     values[n] = S_{3,3}(n) * rho^n * n(n-1)...(n-4) / 4! for n >= 5
-    (earlier entries are nan); estimate is the value at 1/n = 0 of the
-    cubic in 1/n through values at n_max, n_max//2, n_max//4 and
-    n_max//8 (three Richardson steps when n_max is a multiple of 8).
+    (earlier entries are nan) and raw_last = values[n_max]; estimate is
+    the value at 1/n = 0 of the cubic in 1/n through values at n_max,
+    n_max//2, n_max//4 and n_max//8 (three Richardson steps when n_max
+    is a multiple of 8).
     """
 
-    n_max: int
-    rho: float
-    estimate: float
-    raw_last: float
-    values: tuple[float, ...]
+    __slots__ = ()
 
 
 def estimate_kprime(n_max: int) -> KprimeReport:
     """Normalized-count sequence and extrapolated limit for K'."""
     if n_max < 50:
         raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
+    from . import structures
+
     rho = compute_rho(3, radius(3)).rho
     log_rho = math.log(rho)
     values = [math.nan] * (n_max + 1)
@@ -355,14 +350,13 @@ def estimate_kprime(n_max: int) -> KprimeReport:
     )
 
 
-@dataclass(frozen=True)
-class SingularConstants:
-    """Local data of the clearing polynomial at the k = 3 singularity."""
+class SingularConstants(
+    namedtuple("SingularConstants", "rho u_value u_derivative g_derivative")
+):
+    """Local data of the clearing polynomial at the k = 3 singularity:
+    u(rho), u'(rho) and g'(rho)."""
 
-    rho: float
-    u_value: float
-    u_derivative: float
-    g_derivative: float
+    __slots__ = ()
 
     @property
     def kprime_limit(self) -> float:

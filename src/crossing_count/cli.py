@@ -14,20 +14,20 @@ ValueError it raises is reported as a usage error.  A persistent count
 cache of structure counts (CSV: kind,k,n,ell,value, kind always S) can be
 given via --cache or the CROSSING_COUNT_CACHE environment variable; it
 is append-only, validated on load, and ignored with a warning when
-corrupt, since every entry is re-derivable.
+corrupt or unwritable, since every entry is re-derivable.
+
+Each command imports the modules it runs when it runs (count loads only
+counting and structures, roots only asymptotics), and csv and json only
+for their --format or the cache, so a command does not pay the start-up
+cost of the layers it skips.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
-import random
 import sys
-
-from . import asymptotics, oracle, powerseries, structures
 
 CACHE_ENV_VAR = "CROSSING_COUNT_CACHE"
 CACHE_HEADER = ["kind", "k", "n", "ell", "value"]
@@ -46,9 +46,12 @@ class CountCache:
         self.path = path
         self.entries: dict[tuple[int, int, int | None], int] = {}
         self._needs_rewrite = False
+        self._writable = True
         self._load()
 
     def _load(self) -> None:
+        import csv
+
         if not os.path.exists(self.path):
             return
         try:
@@ -74,19 +77,30 @@ class CountCache:
         return self.entries.get((k, n, ell))
 
     def put(self, k: int, n: int, ell: int | None, value: int) -> None:
+        """Record a count; a cache file that cannot be written is warned
+        about once and then left alone, since the count itself is fine."""
+        import csv
+
         key = (k, n, ell)
         if key in self.entries:
             return
         self.entries[key] = value
+        if not self._writable:
+            return
         rewrite = self._needs_rewrite or not os.path.exists(self.path)
         rows = [(key, value)]
         if rewrite:
             rows = sorted(self.entries.items(), key=lambda item: str(item[0]))
-        with open(self.path, "w" if rewrite else "a", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if rewrite:
-                writer.writerow(CACHE_HEADER)
-            writer.writerows([CACHE_KIND, kk, nn, el, val] for (kk, nn, el), val in rows)
+        try:
+            with open(self.path, "w" if rewrite else "a", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                if rewrite:
+                    writer.writerow(CACHE_HEADER)
+                writer.writerows([CACHE_KIND, kk, nn, el, val] for (kk, nn, el), val in rows)
+        except OSError as exc:
+            print(f"warning: not writing cache {self.path}: {exc}", file=sys.stderr)
+            self._writable = False
+            return
         self._needs_rewrite = False
 
 
@@ -96,6 +110,8 @@ def _open_cache(args) -> CountCache | None:
 
 
 def _structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) -> int:
+    from . import structures
+
     value = None if cache is None else cache.get(k, n, ell)
     if value is None:
         value = structures.s_k3(k, n) if ell is None else structures.s_k3_by_isolated(k, n, ell)
@@ -105,23 +121,31 @@ def _structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) 
 
 
 def _base(args) -> float:
-    """The --base value, or the computed growth rate 1/rho_3 under --computed-base.
+    """The --base value (default: the paper's growth rate for k = 3), or the
+    computed growth rate 1/rho_3 under --computed-base.
 
     --base must be finite and positive even when --computed-base replaces it.
     """
-    if not (math.isfinite(args.base) and args.base > 0):
-        raise ValueError(f"--base must be finite and positive, got {args.base}")
+    from . import asymptotics
+
+    base = asymptotics.GROWTH_RATE_K3 if args.base is None else args.base
+    if not (math.isfinite(base) and base > 0):
+        raise ValueError(f"--base must be finite and positive, got {base}")
     if args.computed_base:
         return asymptotics.compute_rho(3, asymptotics.radius(3)).growth_rate
-    return args.base
+    return base
 
 
 def _emit(fmt: str, payload: dict, records: list[dict], text: list[str]) -> None:
     """Write one result: JSON is the payload, CSV the records under a header
     of the first record's keys (None as an empty field), text the lines."""
     if fmt == "json":
+        import json
+
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(records[0])
         writer.writerows(record.values() for record in records)
@@ -154,6 +178,8 @@ def cmd_table(args) -> int:
         return _fail_usage(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
     if args.digits < 1:
         return _fail_usage(f"table needs --digits >= 1, got {args.digits}")
+    from . import asymptotics
+
     base = _base(args)
     cache = _open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
@@ -176,6 +202,8 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------- growth
 
 def cmd_growth(args) -> int:
+    from . import asymptotics
+
     report = asymptotics.compute_rho(args.k, asymptotics.radius(args.k))
     sing = asymptotics.singularities_for_radius(report.radius)
     payload = {
@@ -215,6 +243,8 @@ def cmd_growth(args) -> int:
 # ---------------------------------------------------------------- asym
 
 def cmd_asym(args) -> int:
+    from . import asymptotics
+
     base = _base(args)
     count = _structure_count(3, args.n, None, _open_cache(args))
     exact = asymptotics._scaled_count(count, base, args.n)
@@ -242,6 +272,8 @@ def cmd_asym(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _verification_reports(which: str, k: int, order: int | None):
+    from . import powerseries
+
     default_order = 30 if k == 3 else 20
     bessel_order = 16 if k == 3 else 12
     reports = []
@@ -275,14 +307,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     spec = oracle.EnumSpec(
         n=args.n,
         max_crossing=args.k,
         min_arc_length=args.min_arc,
         by_isolated=args.by_isolated,
-        budget=args.budget,
+        budget=oracle.DEFAULT_BUDGET if args.budget is None else args.budget,
     )
-    rng = random.Random(args.shuffle_seed) if args.shuffle_seed is not None else None
+    rng = None
+    if args.shuffle_seed is not None:
+        import random
+
+        rng = random.Random(args.shuffle_seed)
     result = oracle.enumerate_count(spec, branch_rng=rng)
     payload = {"n": args.n, "k": args.k, "min_arc_length": args.min_arc}
     if args.by_isolated:
@@ -301,6 +339,8 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------- roots
 
 def cmd_roots(args) -> int:
+    from . import asymptotics
+
     problem = asymptotics.QuarticProblem(*args.coeffs)
     roots = sorted(
         asymptotics.solve_quartic(problem), key=lambda z: (round(z.real, 12), z.imag)
@@ -352,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="subexponential factor table for k = 3")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--step", type=int, default=10)
-    p.add_argument("--base", type=float, default=asymptotics.GROWTH_RATE_K3)
+    p.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
     p.add_argument(
         "--computed-base",
         action="store_true",
@@ -372,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="asymptotic vs exact subexponential factor at n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--base", type=float, default=asymptotics.GROWTH_RATE_K3)
+    p.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
     p.add_argument("--computed-base", action="store_true")
     p.add_argument(
         "--n-max", type=int, default=None, help="also estimate the prefactor limit up to n-max"
@@ -396,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="forbidden crossing number")
     p.add_argument("--min-arc", type=int, default=3)
     p.add_argument("--by-isolated", action="store_true")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None, help="search-size bound")
     p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle branch order")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
@@ -413,12 +453,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except oracle.BudgetExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        from . import counting  # loaded already if it raised the refusal
+
+        if not isinstance(exc, counting.BudgetExceededError):
+            raise
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -35,14 +35,17 @@ from __future__ import annotations
 import math
 import threading
 
-from .oracle import BudgetExceededError
-
 # A walk table for a k with no recurrence refuses to keep more shapes than
 # this: k = 7 reaches it near n = 84, k = 8 near n = 76, after about 1.5 s.
 MAX_FRONTIER_SHAPES = 20_000
 
 # coefficients[i][j] is the n^j coefficient of p_i; initial terms a(0), ...
 Recurrence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+class BudgetExceededError(Exception):
+    """Raised when a request would pass a deterministic size bound: the walk
+    frontier here, or the oracle's estimated search size."""
 
 
 def catalan(m: int) -> int:

@@ -15,25 +15,20 @@ count.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
+
+from .counting import BudgetExceededError  # re-exported: the oracle raises it too
 
 DEFAULT_BUDGET = 10**8
 
 
-class BudgetExceededError(Exception):
-    """Raised when the estimated search size exceeds the node budget."""
+class Diagram(namedtuple("Diagram", "n arcs")):
+    """Vertices 1..n plus a frozenset of arcs (i, j), i < j, degrees <= 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Diagram:
-    """Vertices 1..n plus a set of arcs (i, j), i < j, degrees <= 1."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         seen: set[int] = set()
         for i, j in self.arcs:
             if not 1 <= i < j <= self.n:
@@ -48,23 +43,27 @@ class Diagram:
         return Diagram(self.n, frozenset((m - j, m - i) for i, j in self.arcs))
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    """What to enumerate: size, arc-length floor, crossing cap, output."""
+class EnumSpec(
+    namedtuple(
+        "EnumSpec",
+        "n max_crossing min_arc_length by_isolated budget",
+        defaults=(1, False, DEFAULT_BUDGET),
+    )
+):
+    """What to enumerate: size, crossing cap, arc-length floor, output
+    (the histogram by isolated vertices, or the total) and search budget."""
 
-    n: int
-    max_crossing: int
-    min_arc_length: int = 1
-    by_isolated: bool = False
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         if self.min_arc_length < 1:
             raise ValueError(f"minimum arc length must be >= 1, got {self.min_arc_length}")
         if self.max_crossing < 2:
             raise ValueError(f"crossing bound must be >= 2, got {self.max_crossing}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget}")
 
 
 def arcs_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -107,12 +106,13 @@ def _involutions(n: int) -> int:
     return b
 
 
-def enumerate_count(spec: EnumSpec, branch_rng: random.Random | None = None):
+def enumerate_count(spec: EnumSpec, branch_rng=None):
     """Exact count of diagrams satisfying spec.
 
     Returns an int, or a histogram {isolated vertices -> count} if
-    spec.by_isolated.  branch_rng, when given, shuffles the order in
-    which partners are tried; the result must not depend on it.
+    spec.by_isolated.  branch_rng, a random.Random when given, shuffles
+    the order in which partners are tried; the result must not depend
+    on it.
     """
     estimate = _involutions(spec.n)
     if estimate > spec.budget:

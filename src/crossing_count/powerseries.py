@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import counting, structures
@@ -190,16 +190,17 @@ def determinant(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
     return det
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking one identity coefficient-by-coefficient."""
+class IdentityReport(
+    namedtuple(
+        "IdentityReport",
+        "name order ok first_mismatch lhs rhs",
+        defaults=(None, None, None),
+    )
+):
+    """Outcome of checking one identity coefficient-by-coefficient: on a
+    mismatch, its first index and the two coefficients there."""
 
-    name: str
-    order: int
-    ok: bool
-    first_mismatch: int | None = None
-    lhs: numbers.Rational | None = None
-    rhs: numbers.Rational | None = None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.ok:

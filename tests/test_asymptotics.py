@@ -62,6 +62,15 @@ def test_quartic_rejects_zero_leading_coefficient():
         QuarticProblem(0, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(5))
+def test_quartic_rejects_non_finite_coefficient(bad, position):
+    coeffs = [1.0] * 5
+    coeffs[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QuarticProblem(*coeffs)
+
+
 def _random_problem(rng):
     while True:
         a = rng.uniform(-10, 10)

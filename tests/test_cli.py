@@ -211,6 +211,17 @@ def test_corrupt_cache_recomputes_with_warning(tmp_path, capsys):
     assert cache.read_text().splitlines()[0] == "kind,k,n,ell,value"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing/x.csv"])
+def test_unwritable_cache_warns_once(tmp_path, capsys, where):
+    cache = tmp_path if where == "directory" else tmp_path / where
+    code, out, err = run_cli(
+        capsys, "table", "--n-max", "30", "--step", "10", "--cache", str(cache)
+    )
+    assert code == 0
+    assert out == run_cli(capsys, "table", "--n-max", "30", "--step", "10")[1]
+    assert err.count("not writing cache") == 1
+
+
 def test_cached_values_reused_verbatim(tmp_path, capsys):
     cache = tmp_path / "counts.csv"
     run_cli(capsys, "count", "--k", "3", "--n", "15", "--cache", str(cache))

@@ -6,8 +6,9 @@ each usage error (exit 2) and an oracle budget refusal (exit 3).
 Only the growth entries for k > 3 were recaptured since, when r_k became
 exact for every k; the usage errors for a --base that is not finite and
 positive and for table --digits below 1 were added later, as were the
-verify cases at the benchmark's orders and one Bessel check at k = 12
-(see the file's "about" note).
+verify cases at the benchmark's orders, one Bessel check at k = 12, and
+the unwritable --cache, non-finite roots coefficient and --budget -5 / 0
+cases (see the file's "about" note).
 """
 
 import json

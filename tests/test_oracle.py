@@ -42,6 +42,19 @@ def test_enum_spec_validation():
         EnumSpec(n=4, max_crossing=1)
     with pytest.raises(ValueError):
         EnumSpec(n=4, max_crossing=3, min_arc_length=0)
+    with pytest.raises(ValueError):
+        EnumSpec(n=4, max_crossing=3, budget=-1)
+
+
+def test_records_are_immutable_values():
+    d = diagram(5, [(1, 4), (2, 5)])
+    assert d == diagram(5, [(2, 5), (1, 4)]) and d != diagram(6, [(1, 4), (2, 5)])
+    assert len({d, diagram(5, [(2, 5), (1, 4)])}) == 1
+    spec = EnumSpec(n=4, max_crossing=3)
+    assert (spec.min_arc_length, spec.by_isolated, spec.budget) == (1, False, 10**8)
+    for record, field in ((d, "n"), (spec, "budget")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
 
 
 def test_enumerate_hand_counts():
