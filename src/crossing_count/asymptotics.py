@@ -7,12 +7,10 @@ f_k(2n,0) ~ c_k n^(-((k-1)^2 + (k-1)/2)) (2(k-1))^(2n) (Grabiner &
 Magyar 1993; Chen, Deng, Du, Stanley & Yan 2007).  Clearing
 theta(z) = r_k gives a quartic, z^4 - 5z^3 - z^2 + 5z - 1 for k = 3,
 whose smallest real root in (0, 0.7) is rho_k.  For k = 3 the
-subexponential factor is
-K' * 4! / (n(n-1)(n-2)(n-3)(n-4)) with the paper's printed K' = 6.11170.
-That constant is a finite-n value: the exact sequence
-K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4! crosses it at n = 421 and
-converges to the singular-expansion constant
-(8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545, which follows from
+subexponential factor is K' * 4! / (n(n-1)(n-2)(n-3)(n-4)) with the
+paper's printed K' = 6.11170, a finite-n value: the exact sequence
+kprime(n) crosses it at n = 421 and converges to the singular-expansion
+constant (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545, which follows from
 f_3(2m,0) ~ (24/pi) 16^m / m^5 through the radius map.
 
 Quartics are solved in closed form (depressed quartic plus resolvent
@@ -21,9 +19,9 @@ by Newton iteration on the original polynomial; double precision plus
 that refinement is enough for all the constants handled here, whose
 reference values carry at most 1e-5 accuracy.
 
-Only the functions that need exact counts (estimate_rk,
-exact_subexp_factor, estimate_kprime) import the counting layers, so
-solving a quartic or computing a growth constant loads neither.
+Only the functions that need exact counts (estimate_rk, kprime and
+estimate_kprime through it) import the counting layers, so solving a
+quartic or computing a growth constant loads neither.
 """
 
 from __future__ import annotations
@@ -90,11 +88,8 @@ def solve_cubic_depressed(p: float, q: float) -> tuple[complex, complex, complex
     u0 = u_cubed ** (1 / 3)
     omega = complex(-0.5, math.sqrt(3) / 2)
     coeffs = (1.0, 0.0, p, q)
-    roots = []
-    for _ in range(3):
-        roots.append(_newton_refine(p / (3 * u0) - u0, coeffs))
-        u0 *= omega
-    return tuple(roots)
+    cube_roots = (u0, u0 * omega, u0 * omega * omega)
+    return tuple(_newton_refine(p / (3 * u) - u, coeffs) for u in cube_roots)
 
 
 class QuarticProblem(namedtuple("QuarticProblem", "a b c d e")):
@@ -115,16 +110,40 @@ class QuarticProblem(namedtuple("QuarticProblem", "a b c d e")):
         return abs(_horner_with_derivative(self.coefficients(), z)[0])
 
 
+def _low_degree_roots(coeffs) -> list[complex]:
+    """Newton-polished roots of a polynomial of degree 0 to 3, highest coefficient first."""
+    monic = [c / coeffs[0] for c in coeffs[1:]]
+    if len(monic) == 3:
+        b, c, d = monic
+        depressed = solve_cubic_depressed(c - b * b / 3, 2 * b**3 / 27 - b * c / 3 + d)
+        roots = [v - b / 3 for v in depressed]
+    elif len(monic) == 2:
+        b, c = monic
+        disc = cmath.sqrt(complex(b * b / 4 - c))
+        roots = [-b / 2 + disc, -b / 2 - disc]
+    else:
+        roots = [complex(-c) for c in monic]
+    return [_newton_refine(z, coeffs) for z in roots]
+
+
 def solve_quartic(problem: QuarticProblem) -> list[complex]:
     """All four roots, via depressed quartic and resolvent cubic.
 
-    The resolvent root keeping |alpha + 2y| largest is used, which
-    avoids the spurious zero branch of biquadratics; if every resolvent
-    root degenerates the quartic is u^4 = 0 up to rounding and is
-    handled as a biquadratic.  Roots are Newton-polished at the end, so
-    the branch choices only affect intermediate accuracy.
+    Exact roots at 0 (trailing zero coefficients) are split off first: the
+    closed form blurs a multiple root into a pair about sqrt(eps) apart.
+    The resolvent root keeping |alpha + 2y| largest is used, which avoids
+    the spurious zero branch of biquadratics; if every resolvent root
+    degenerates the quartic is u^4 = 0 up to rounding and is handled as a
+    biquadratic.  Roots are Newton-polished at the end, so the branch
+    choices only affect intermediate accuracy.
     """
-    a, b, c, d, e = problem.coefficients()
+    coeffs = problem.coefficients()
+    if coeffs[-1] == 0:
+        kept = list(coeffs)
+        while kept[-1] == 0:
+            kept.pop()
+        return [0j] * (5 - len(kept)) + _low_degree_roots(kept)
+    a, b, c, d, e = coeffs
     b1, c1, d1, e1 = b / a, c / a, d / a, e / a
     shift = -b1 / 4
     alpha = -3 * b1 * b1 / 8 + c1
@@ -138,21 +157,18 @@ def solve_quartic(problem: QuarticProblem) -> list[complex]:
     s_sq = alpha + 2 * y
 
     scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
+    halves = []
     if abs(s_sq) <= 1e-13 * scale:
         disc = cmath.sqrt(complex(alpha * alpha / 4 - gamma))
-        halves = []
         for w in (-alpha / 2 + disc, -alpha / 2 - disc):
             root = cmath.sqrt(w)
             halves.extend((root, -root))
     else:
         s = cmath.sqrt(complex(s_sq))
-        halves = []
         for sign in (1.0, -1.0):
             t = cmath.sqrt(-(3 * alpha + 2 * y + sign * 2 * beta / s))
-            halves.append((sign * s + t) / 2)
-            halves.append((sign * s - t) / 2)
+            halves.extend(((sign * s + t) / 2, (sign * s - t) / 2))
 
-    coeffs = problem.coefficients()
     return [_newton_refine(u + shift, coeffs) for u in halves]
 
 
@@ -225,28 +241,20 @@ def compute_rho(k: int, r_k) -> GrowthReport:
     """Smallest positive real solution of theta(z) = r_k.
 
     The cleared quartic (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 is
-    solved in closed form, and its smallest real root in (0, 0.7) is
-    Newton-polished.
+    solved in closed form, whose roots come Newton-polished; rho is the
+    smallest real one in (0, 0.7).
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
     rf = float(r_k)
     if not 0 < rf <= 0.5:
         raise ValueError(f"radius must lie in (0, 1/2], got {rf}")
-    coeffs = _clearing_coefficients(r_k)
-    roots = solve_quartic(QuarticProblem(*coeffs))
+    roots = solve_quartic(QuarticProblem(*_clearing_coefficients(r_k)))
     real_candidates = [z.real for z in roots if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
     if not real_candidates:
         raise ValueError(f"no real root in (0, 0.7) for radius {rf}")
-    rho = _newton_refine(complex(min(real_candidates)), coeffs).real
-    return GrowthReport(
-        k=k,
-        radius=rf,
-        rho=rho,
-        growth_rate=1 / rho,
-        residual=abs(theta(rho) - rf),
-        roots=tuple(roots),
-    )
+    rho = min(real_candidates)
+    return GrowthReport(k, rf, rho, 1 / rho, abs(theta(rho) - rf), tuple(roots))
 
 
 def singularities_for_radius(r) -> list[complex]:
@@ -262,92 +270,54 @@ def singularities_for_radius(r) -> list[complex]:
     return out
 
 
-def subexp_factor(n: int) -> float:
-    """Asymptotic subexponential factor K' * 4! / (n(n-1)...(n-4))."""
+def _falling_factorial(n: int) -> int:
     if n < 5:
         raise ValueError(f"falling factorial vanishes for n < 5, got {n}")
-    ff = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
-    return KPRIME * 24 / ff
+    return n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
 
 
-def _scaled_count(value: int, base: float, n: int) -> float:
-    # value / base^n without overflowing floats; exact ints keep log accurate
+def subexp_factor(n: int) -> float:
+    """Asymptotic subexponential factor K' * 4! / (n(n-1)...(n-4))."""
+    return KPRIME * 24 / _falling_factorial(n)
+
+
+def scaled_count(value: int, base: float, n: int) -> float:
+    """value / base^n, without overflowing floats: the exact subexponential
+    factor S_{3,3}(n) / base^n when value is the exact count."""
     if value == 0:
         return 0.0
     return math.exp(math.log(value) - n * math.log(base))
 
 
-def exact_subexp_factor(n: int, base: float) -> float:
-    """S_{3,3}(n) / base^n from the exact integer count."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if base <= 1:
-        raise ValueError(f"base must exceed 1, got {base}")
+def kprime(n: int) -> float:
+    """K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4!, the normalized count."""
     from . import structures
 
-    return _scaled_count(structures.s_k3(3, n), base, n)
-
-
-class AsymptoticEstimate(
-    namedtuple("AsymptoticEstimate", "n subexponential full_log10 kprime", defaults=(KPRIME,))
-):
-    """Asymptotic approximation at one n, with the full value log-scaled.
-
-    full_log10 = log10(subexponential * base^n); the plain value would
-    overflow floats long before the interesting range ends.
-    """
-
-    __slots__ = ()
-
-
-def asymptotic_estimate(n: int, base: float = GROWTH_RATE_K3) -> AsymptoticEstimate:
-    """Predicted structure count at n as subexponential factor and log scale."""
-    s = subexp_factor(n)
-    return AsymptoticEstimate(
-        n=n, subexponential=s, full_log10=math.log10(s) + n * math.log10(base)
+    ff = _falling_factorial(n)
+    rho = compute_rho(3, radius(3)).rho
+    return math.exp(
+        math.log(structures.s_k3(3, n)) + n * math.log(rho) + math.log(ff) - math.log(24)
     )
 
 
-class KprimeReport(namedtuple("KprimeReport", "n_max rho estimate raw_last values")):
-    """Convergence data for the subexponential constant K'.
-
-    values[n] = S_{3,3}(n) * rho^n * n(n-1)...(n-4) / 4! for n >= 5
-    (earlier entries are nan) and raw_last = values[n_max]; estimate is
-    the value at 1/n = 0 of the cubic in 1/n through values at n_max,
-    n_max//2, n_max//4 and n_max//8 (three Richardson steps when n_max
-    is a multiple of 8).
-    """
+class KprimeReport(namedtuple("KprimeReport", "n_max estimate raw_last")):
+    """raw_last = kprime(n_max); estimate is the value at 1/n = 0 of the cubic
+    in 1/n through kprime at n_max, n_max//2, n_max//4 and n_max//8 (three
+    Richardson steps when n_max is a multiple of 8)."""
 
     __slots__ = ()
 
 
 def estimate_kprime(n_max: int) -> KprimeReport:
-    """Normalized-count sequence and extrapolated limit for K'."""
+    """K'(n_max) and the extrapolated limit of K'(n) from four nodes."""
     if n_max < 50:
         raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
-    from . import structures
-
-    rho = compute_rho(3, radius(3)).rho
-    log_rho = math.log(rho)
-    values = [math.nan] * (n_max + 1)
-    for n in range(5, n_max + 1):
-        ff = n * (n - 1) * (n - 2) * (n - 3) * (n - 4)
-        values[n] = math.exp(
-            math.log(structures.s_k3(3, n)) + n * log_rho + math.log(ff) - math.log(24)
-        )
+    nodes = [n_max // 2**i for i in range(4)]
+    values = {i: kprime(i) for i in nodes}
     # Lagrange interpolation in h = 1/n at h = 0: the weight of node i is
     # prod over j != i of h_j / (h_j - h_i) = i / (i - j)
-    nodes = [n_max // 2**i for i in range(4)]
-    estimate = sum(
-        values[i] * math.prod(i / (i - j) for j in nodes if j != i) for i in nodes
-    )
-    return KprimeReport(
-        n_max=n_max,
-        rho=rho,
-        estimate=estimate,
-        raw_last=values[n_max],
-        values=tuple(values),
-    )
+    estimate = sum(values[i] * math.prod(i / (i - j) for j in nodes if j != i) for i in nodes)
+    return KprimeReport(n_max=n_max, estimate=estimate, raw_last=values[n_max])
 
 
 class SingularConstants(

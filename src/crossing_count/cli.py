@@ -184,7 +184,7 @@ def cmd_table(args) -> int:
     cache = _open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
     for n in range(args.step, args.n_max + 1, args.step):
-        exact = asymptotics._scaled_count(_structure_count(3, n, None, cache), base, n)
+        exact = asymptotics.scaled_count(_structure_count(3, n, None, cache), base, n)
         asym = asymptotics.subexp_factor(n) if n >= 5 else None
         records.append(
             {
@@ -247,16 +247,19 @@ def cmd_asym(args) -> int:
 
     base = _base(args)
     count = _structure_count(3, args.n, None, _open_cache(args))
-    exact = asymptotics._scaled_count(count, base, args.n)
-    estimate = asymptotics.asymptotic_estimate(args.n, base) if args.n >= 5 else None
+    exact = asymptotics.scaled_count(count, base, args.n)
+    asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
     payload = {
         "n": args.n,
         "base": f"{base:.10g}",
         "count": str(count),
         "exact_factor": _sci(exact, 6),
-        "asymptotic_factor": None if estimate is None else _sci(estimate.subexponential, 6),
-        "asymptotic_count_log10": None if estimate is None else f"{estimate.full_log10:.6f}",
-        "ratio": None if estimate is None else f"{exact / estimate.subexponential:.6f}",
+        "asymptotic_factor": None if asym is None else _sci(asym, 6),
+        # log-scaled, since asym * base^n overflows floats long before n is large
+        "asymptotic_count_log10": (
+            None if asym is None else f"{math.log10(asym) + args.n * math.log10(base):.6f}"
+        ),
+        "ratio": None if asym is None else f"{exact / asym:.6f}",
     }
     if args.n_max is not None:
         report = asymptotics.estimate_kprime(args.n_max)

@@ -23,17 +23,23 @@ from __future__ import annotations
 
 from . import counting
 
-# S_{k,3}(n) under the key (k, n, None), the count with ell isolated
-# vertices under (k, n, ell)
-_s_cache: dict[tuple[int, int, int | None], int] = {}
+# The lam table keeps about n^2/4 bigints and refuses rows past this one;
+# building it to row 3000 takes about 4 s and 520 MiB.
+MAX_LAMBDA_ROW = 3000
 
 
 class LambdaTable(counting.GrowingTable):
-    """Bottom-up table of the short-arc weights lam(n, b), one row per n."""
+    """Bottom-up table of the short-arc weights lam(n, b), one row per n.
+    A row past MAX_LAMBDA_ROW raises BudgetExceededError before any step."""
 
     def __init__(self, max_n: int = 0):
         super().__init__([[1]])
         self.ensure(max_n)
+
+    def ensure(self, n: int) -> None:
+        if n > MAX_LAMBDA_ROW:
+            raise counting.BudgetExceededError(f"lam row {n} is past the bound of {MAX_LAMBDA_ROW}")
+        super().ensure(n)
 
     def _get(self, n: int, b: int) -> int:
         if n < 0 or b < 0 or 2 * b > n:
@@ -69,20 +75,16 @@ def lambda_weight(n: int, b: int) -> int:
 
 
 def _signed_sum(k: int, n: int, ell: int | None) -> int:
-    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell."""
-    key = (k, n, ell)
-    value = _s_cache.get(key)
-    if value is None:
-        value = 0
-        for b in range((n - (ell or 0)) // 2 + 1):
-            m = n - 2 * b
-            count = counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell)
-            term = lambda_weight(n, b) * count
-            value += -term if b % 2 else term
-        if value < 0:
-            where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")
-            raise ArithmeticError(f"signed sum collapsed below zero for {where}")
-        _s_cache.setdefault(key, value)
+    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell;
+    each lam weight is read before its count, so a row past the bound grows none."""
+    value = 0
+    for b in range((n - (ell or 0)) // 2 + 1):
+        weight, m = lambda_weight(n, b), n - 2 * b
+        term = weight * (counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell))
+        value += -term if b % 2 else term
+    if value < 0:
+        where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")
+        raise ArithmeticError(f"signed sum collapsed below zero for {where}")
     return value
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import match_roots, newton_deflation_roots
@@ -102,6 +102,7 @@ def test_quartic_random_residual_vieta_and_oracle():
     st.floats(min_value=-10, max_value=10),
     st.floats(min_value=-10, max_value=10),
 )
+@example(0.3359375, 2.0, -6.103515625e-05, 0.0, 0.0)  # double root at 0
 def test_quartic_vieta_property(a, b, c, d, e):
     problem = QuarticProblem(a, b, c, d, e)
     roots = asy.solve_quartic(problem)
@@ -227,17 +228,14 @@ def test_subexp_factor_values():
         asy.subexp_factor(4)
 
 
-def test_exact_subexp_factor_values():
-    assert asy.exact_subexp_factor(0, 4.54920) == 1.0
-    assert abs(asy.exact_subexp_factor(10, 4.54920) - 3.016e-4) / 3.016e-4 <= 0.005
+def test_scaled_count_values():
+    from crossing_count.structures import s_k3
+
+    assert asy.scaled_count(s_k3(3, 0), 4.54920, 0) == 1.0
+    assert abs(asy.scaled_count(s_k3(3, 10), 4.54920, 10) - 3.016e-4) / 3.016e-4 <= 0.005
     # the printed table row at n=60 is a misprint (it repeats the n=50
     # value); this is the cross-verified computed value
-    assert abs(asy.exact_subexp_factor(60, 4.54920) - 1.4762e-7) / 1.4762e-7 <= 0.005
-
-
-def test_exact_subexp_factor_rejects_bad_base():
-    with pytest.raises(ValueError):
-        asy.exact_subexp_factor(10, 1.0)
+    assert abs(asy.scaled_count(s_k3(3, 60), 4.54920, 60) - 1.4762e-7) / 1.4762e-7 <= 0.005
 
 
 def test_scaled_count_accuracy():
@@ -246,28 +244,38 @@ def test_scaled_count_accuracy():
 
     for n in (10, 50):
         direct = s_k3(3, n) / 4.54920**n
-        assert abs(asy._scaled_count(s_k3(3, n), 4.54920, n) - direct) <= 1e-9 * direct
-
-
-def test_asymptotic_estimate_log_scale():
-    from crossing_count.structures import s_k3
-
-    est = asy.asymptotic_estimate(100)
-    assert est.subexponential == asy.subexp_factor(100)
-    assert est.kprime == asy.KPRIME
-    # log-scaled prediction sits near the exact count's magnitude
-    assert abs(est.full_log10 - math.log10(s_k3(3, 100))) < 0.2
+        assert abs(asy.scaled_count(s_k3(3, n), 4.54920, n) - direct) <= 1e-9 * direct
 
 
 def test_estimate_kprime_small_run():
     report = asy.estimate_kprime(100)
-    assert abs(report.values[100] - 4.89) / 4.89 <= 0.02
-    assert report.raw_last == report.values[100]
+    assert abs(asy.kprime(100) - 4.89) / 4.89 <= 0.02
+    assert report.raw_last == asy.kprime(100)
     assert all(
-        report.values[n] < report.values[n + 1] for n in range(50, 100)
+        asy.kprime(n) < asy.kprime(n + 1) for n in range(50, 100)
     )
     with pytest.raises(ValueError):
         asy.estimate_kprime(49)
+
+
+def test_kprime_rejects_vanishing_falling_factorial():
+    with pytest.raises(ValueError):
+        asy.kprime(4)
+
+
+def test_estimate_kprime_counts_only_at_its_four_nodes(monkeypatch):
+    from crossing_count import structures
+
+    calls = []
+    s_k3 = structures.s_k3
+
+    def counted(k, n):
+        calls.append((k, n))
+        return s_k3(k, n)
+
+    monkeypatch.setattr(structures, "s_k3", counted)
+    asy.estimate_kprime(200)
+    assert sorted(calls) == [(3, 25), (3, 50), (3, 100), (3, 200)]
 
 
 def test_estimate_kprime_extrapolates_to_the_limit():

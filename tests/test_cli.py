@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -174,6 +175,8 @@ def test_asym_command(capsys):
     assert payload["count"] == str(s_k3(3, 100))
     assert payload["exact_factor"] == "1.29898e-08"
     assert payload["asymptotic_factor"] == "1.62356e-08"
+    # the log-scaled prediction sits near the exact count's magnitude
+    assert abs(float(payload["asymptotic_count_log10"]) - math.log10(s_k3(3, 100))) < 0.2
 
 
 def test_cache_warm_equals_cold(tmp_path, capsys):

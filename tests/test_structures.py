@@ -135,9 +135,22 @@ def test_counts_match_a_walk_table_recomputation(k):
             )
 
 
-def test_structure_counts_are_cached():
-    before = structures.s_k3(3, 25)
-    assert structures.s_k3(3, 25) == before
+def test_lambda_table_refuses_rows_past_its_bound():
+    table = LambdaTable(10)
+    with pytest.raises(counting.BudgetExceededError):
+        table.ensure(structures.MAX_LAMBDA_ROW + 1)
+    assert table.max_n == 10
+    assert table.value(12, 1) == 2 * 12 - 3
+
+
+def test_oversized_count_is_refused_before_any_table_grows():
+    n = structures.MAX_LAMBDA_ROW + 1
+    tables = (structures._table, counting._tk_tables[3], counting._fk_tables[3])
+    rows = [table.max_n for table in tables]
+    for query in (lambda: s_k3(3, n), lambda: s_k3_by_isolated(3, n, 1)):
+        with pytest.raises(counting.BudgetExceededError, match="bound"):
+            query()
+    assert [table.max_n for table in tables] == rows
 
 
 def test_lambda_table_concurrent_growth_matches_sequential():
@@ -175,11 +188,9 @@ def _only_one_short_arc(k, m):
 
 def test_negative_signed_sum_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(counting, "tk_total", _only_one_short_arc)
-    monkeypatch.setattr(structures, "_s_cache", {})
     with pytest.raises(ArithmeticError, match="below zero"):
         structures.s_k3(3, 10)
     monkeypatch.setattr(counting, "fk_partial", lambda k, m, ell: _only_one_short_arc(k, m))
-    monkeypatch.setattr(structures, "_s_cache", {})
     with pytest.raises(ArithmeticError, match="below zero"):
         structures.s_k3_by_isolated(3, 10, 0)
 
