@@ -39,7 +39,7 @@ END = "# END RECURRENCES"
 def sequences(k: int) -> tuple[list[int], list[int]]:
     """f_k(2m, 0) for 2m <= N_MAX and T_k(n) for n <= N_MAX, from the walk table."""
     walks = WalkTable(k)
-    f = [walks.value(2 * m) for m in range(N_MAX // 2 + 1)]
+    f = [walks.value(m) for m in range(N_MAX // 2 + 1)]
     t = [sum(math.comb(n, 2 * m) * f[m] for m in range(n // 2 + 1)) for n in range(N_MAX + 1)]
     return f, t
 

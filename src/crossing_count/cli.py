@@ -183,8 +183,11 @@ def cmd_table(args) -> int:
     base = _base(args)
     cache = _open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
-    for n in range(args.step, args.n_max + 1, args.step):
-        exact = asymptotics.scaled_count(_structure_count(3, n, None, cache), base, n)
+    ns = range(args.step, args.n_max + 1, args.step)
+    # largest n first: a row past a table's bound is refused before any is computed or cached
+    counts = {n: _structure_count(3, n, None, cache) for n in reversed(ns)}
+    for n in ns:
+        exact = asymptotics.scaled_count(counts[n], base, n)
         asym = asymptotics.subexp_factor(n) if n >= 5 else None
         records.append(
             {

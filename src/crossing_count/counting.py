@@ -25,9 +25,9 @@ oracle for the recurrences.  Partial-matching counts follow by choosing
 which vertices stay isolated.
 
 Everything here is exact: counts are plain Python integers and are never
-rounded.  Each sequence has one table that grows in place under its own
-lock; counts are only appended, never changed, so concurrent callers
-always see the same values.
+rounded.  Each sequence has one table (f_k by m, T_k by n) that grows
+in place under its own lock; counts are only appended, never changed,
+so concurrent callers always see the same values.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ Recurrence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 class BudgetExceededError(Exception):
     """Raised when a request would pass a deterministic size bound: the walk
-    frontier here, or the oracle's estimated search size."""
+    frontier, the lam row, the series order or the oracle's search size."""
 
 
 def catalan(m: int) -> int:
@@ -80,6 +80,8 @@ class GrowingTable:
                 self._step()
 
     def value(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"table index must be nonnegative, got {n}")
         if n > self.max_n:
             self.ensure(n)
         return self._terms[n]
@@ -110,12 +112,12 @@ class RecurrenceTable(GrowingTable):
 
 
 class WalkTable(GrowingTable):
-    """f_k(n, 0) for n = 0, 1, ..., max_n, extended one walk step at a time.
+    """f_k(2m, 0) for m = 0, 1, ..., max_n, extended one walk step at a time.
 
     Keeps the frontier W_m of m-step walks from the empty shape; a step
-    appends f_k(2m+1, 0) = 0 and f_k(2m+2, 0).  With max_shapes set, a step
-    whose frontier would pass that many shapes raises BudgetExceededError
-    and leaves the table as it was.
+    advances it to W_{m+1} and appends f_k(2m+2, 0).  With max_shapes
+    set, a step whose frontier would pass that many shapes raises
+    BudgetExceededError and leaves the table as it was.
     """
 
     def __init__(self, k: int, max_shapes: int | None = None):
@@ -145,15 +147,19 @@ class WalkTable(GrowingTable):
                     nxt[cand] = get(cand, 0) + ways
         if self._max_shapes is not None and len(nxt) > self._max_shapes:
             raise BudgetExceededError(
-                f"f_{self._max_rows + 1}({self.max_n + 2}, 0) needs a walk frontier of "
+                f"f_{self._max_rows + 1}({2 * self.max_n + 2}, 0) needs a walk frontier of "
                 f"{len(nxt)} shapes, over the bound of {self._max_shapes}; "
                 "no recurrence is committed for this k"
             )
         self._frontier = nxt
-        self._terms += (0, sum(ways * ways for ways in nxt.values()))
+        self._terms.append(sum(ways * ways for ways in nxt.values()))
 
 
-_walk_tables: dict[int, WalkTable] = {}
+def _fk_table(k: int) -> GrowingTable:
+    """The f_k(2m, 0) table: the recurrence, else a guarded walk table made once."""
+    if k < 2:
+        raise ValueError(f"crossing bound k must be >= 2, got {k}")
+    return _fk_tables.get(k) or _fk_tables.setdefault(k, WalkTable(k, MAX_FRONTIER_SHAPES))
 
 
 def fk_perfect(k: int, n: int) -> int:
@@ -162,17 +168,10 @@ def fk_perfect(k: int, n: int) -> int:
     Zero for odd n (no perfect matching exists) and one for n = 0 (the
     empty matching).
     """
-    if k < 2:
-        raise ValueError(f"crossing bound k must be >= 2, got {k}")
+    table = _fk_table(k)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    table = _fk_tables.get(k)
-    if table is not None:
-        return 0 if n % 2 else table.value(n // 2)
-    walks = _walk_tables.get(k) or _walk_tables.setdefault(
-        k, WalkTable(k, MAX_FRONTIER_SHAPES)
-    )
-    return walks.value(n)
+    return 0 if n % 2 else table.value(n // 2)
 
 
 def fk_closed_form_k3(n: int) -> int:
@@ -203,10 +202,10 @@ def tk_total(k: int, n: int) -> int:
     """Total number of partial matchings on [n] with crossing number < k."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    table = _tk_tables.get(k)
-    if table is not None:
-        return table.value(n)
-    return sum(math.comb(n, 2 * m) * fk_perfect(k, 2 * m) for m in range(n // 2 + 1))
+    if k in _tk_tables:
+        return _tk_tables[k].value(n)
+    f = _fk_table(k)
+    return sum(math.comb(n, 2 * m) * f.value(m) for m in range(n // 2 + 1))
 
 
 # BEGIN RECURRENCES (written by scripts/derive_recurrences.py; do not edit)

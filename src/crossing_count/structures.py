@@ -15,72 +15,61 @@ recursion
 
 with lam(n, 0) = 1 and lam(n, b) = 0 for b < 0 or 2b > n; that boundary
 is the unique one reproducing lam(n, 1) = 2n - 3 for n >= 2 and making
-the diagonal lam(2b, b) Fibonacci.  All arithmetic is exact integer;
-despite the alternating signs every count is nonnegative.
+the diagonal lam(2b, b) Fibonacci.  Each row lam(m, .) of the table
+sums four shifted earlier rows; a row past MAX_LAMBDA_ROW is refused
+before the table grows.  All arithmetic is exact integer; despite the
+alternating signs every count is nonnegative.
 """
 
 from __future__ import annotations
 
 from . import counting
 
-# The lam table keeps about n^2/4 bigints and refuses rows past this one;
-# building it to row 3000 takes about 4 s and 520 MiB.
+# The lam table keeps about n^2/4 bigints, so rows past this one are refused
+# before it grows; building it to row 3000 takes about 2 s and 520 MiB.
 MAX_LAMBDA_ROW = 3000
 
 
 class LambdaTable(counting.GrowingTable):
-    """Bottom-up table of the short-arc weights lam(n, b), one row per n.
-    A row past MAX_LAMBDA_ROW raises BudgetExceededError before any step."""
+    """Rows lam(m, .) of the short-arc weights, one list per m."""
 
-    def __init__(self, max_n: int = 0):
+    def __init__(self):
         super().__init__([[1]])
-        self.ensure(max_n)
-
-    def ensure(self, n: int) -> None:
-        if n > MAX_LAMBDA_ROW:
-            raise counting.BudgetExceededError(f"lam row {n} is past the bound of {MAX_LAMBDA_ROW}")
-        super().ensure(n)
-
-    def _get(self, n: int, b: int) -> int:
-        if n < 0 or b < 0 or 2 * b > n:
-            return 0
-        return self._terms[n][b]
 
     def _step(self) -> None:
+        # row(m) = row(m-1) + [0]+row(m-2) + [0]+row(m-3) + [0,0]+row(m-4), padded
         m = len(self._terms)
-        row = [1] + [0] * (m // 2)
-        for b in range(1, m // 2 + 1):
-            row[b] = (
-                self._get(m - 1, b)
-                + self._get(m - 2, b - 1)
-                + self._get(m - 3, b - 1)
-                + self._get(m - 4, b - 2)
-            )
-        self._terms.append(row)
-
-    def value(self, n: int, b: int) -> int:
-        if n < 0:
-            raise ValueError(f"row index must be nonnegative, got {n}")
-        if b < 0 or 2 * b > n:
-            return 0
-        return super().value(n)[b]
+        shifted = []
+        for back, shift in ((1, 0), (2, 1), (3, 1), (4, 2)):
+            row = self._terms[m - back] if back <= m else []
+            shifted.append([0] * shift + row + [0] * (m // 2 + 1 - shift - len(row)))
+        self._terms.append([a + b + c + d for a, b, c, d in zip(*shifted)])
 
 
 _table = LambdaTable()
 
 
+def _row(n: int) -> list[int]:
+    """Row lam(n, .) of the shared table, refused past MAX_LAMBDA_ROW before it grows."""
+    if n > MAX_LAMBDA_ROW:
+        raise counting.BudgetExceededError(f"lam row {n} is past the bound of {MAX_LAMBDA_ROW}")
+    return _table.value(n)
+
+
 def lambda_weight(n: int, b: int) -> int:
     """Weight lam(n, b); zero outside 0 <= 2b <= n."""
-    return _table.value(n, b)
+    row = _row(n)
+    return row[b] if 0 <= b < len(row) else 0
 
 
 def _signed_sum(k: int, n: int, ell: int | None) -> int:
-    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell;
-    each lam weight is read before its count, so a row past the bound grows none."""
-    value = 0
+    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell."""
+    if k < 3:
+        raise ValueError(f"crossing bound k must be >= 3, got {k}")
+    row, value = _row(n), 0
     for b in range((n - (ell or 0)) // 2 + 1):
-        weight, m = lambda_weight(n, b), n - 2 * b
-        term = weight * (counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell))
+        m = n - 2 * b
+        term = row[b] * (counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell))
         value += -term if b % 2 else term
     if value < 0:
         where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")
@@ -90,8 +79,6 @@ def _signed_sum(k: int, n: int, ell: int | None) -> int:
 
 def s_k3(k: int, n: int) -> int:
     """Number of k-noncrossing structures on [n] with arc length >= 3."""
-    if k < 3:
-        raise ValueError(f"crossing bound k must be >= 3, got {k}")
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     return _signed_sum(k, n, None)
@@ -99,8 +86,6 @@ def s_k3(k: int, n: int) -> int:
 
 def s_k3_by_isolated(k: int, n: int, ell: int) -> int:
     """Structures on [n] with exactly ell isolated vertices."""
-    if k < 3:
-        raise ValueError(f"crossing bound k must be >= 3, got {k}")
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
     return _signed_sum(k, n, ell)

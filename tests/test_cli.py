@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import package_env
-from crossing_count import cli, powerseries
+from crossing_count import cli, powerseries, structures
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
 
@@ -89,6 +89,15 @@ def test_count_without_recurrence_refuses_with_exit_3():
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("refused: ") and "shapes" in proc.stderr
+
+
+def test_oversized_table_is_refused_before_any_row(capsys):
+    rows = structures._table.max_n
+    n_max = str(structures.MAX_LAMBDA_ROW + 10)
+    code, out, err = run_cli(capsys, "table", "--n-max", n_max, "--step", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ")
+    assert structures._table.max_n == rows
 
 
 def test_verify_all_green(capsys):

@@ -8,8 +8,9 @@ exact for every k; the usage errors for a --base that is not finite and
 positive and for table --digits below 1 were added later, as were the
 verify cases at the benchmark's orders, one Bessel check at k = 12, and
 the unwritable --cache, non-finite roots coefficient and --budget -5 / 0
-cases, one asym case with --n-max, and the refusal of a count past the
-short-arc weight table's row bound (see the file's "about" note).
+cases, one asym case with --n-max, the refusal of a count past the
+short-arc weight table's row bound, and the refusal of a verify order past
+the series bound (see the file's "about" note).
 """
 
 import json

@@ -30,8 +30,9 @@ def test_fk_perfect_small_values():
 
 def test_fk_perfect_boundary():
     assert counting.fk_perfect(3, 0) == 1
-    for n in (1, 3, 5, 7, 9):
-        assert counting.fk_perfect(3, n) == 0
+    for k in range(3, 8):  # recurrences for k <= 6, walks for k = 7
+        for n in (1, 3, 5, 7, 9, 59):
+            assert counting.fk_perfect(k, n) == 0
 
 
 def test_fk_perfect_rejects_bad_arguments():
@@ -59,35 +60,31 @@ def test_fk_perfect_matches_closed_form_to_1024():
 
 def test_walk_table_matches_closed_form_to_300():
     table = counting.WalkTable(3)
-    for n in range(0, 301, 2):
-        assert table.value(n) == counting.fk_closed_form_k3(n)
+    for m in range(151):
+        assert table.value(m) == counting.fk_closed_form_k3(2 * m)
 
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_walk_table_same_values_in_any_query_order(k):
-    n_max = 60
+    m_max = 30
     ascending = counting.WalkTable(k)
-    up = [ascending.value(n) for n in range(n_max + 1)]
+    up = [ascending.value(m) for m in range(m_max + 1)]
     descending = counting.WalkTable(k)
-    down = [descending.value(n) for n in range(n_max, -1, -1)][::-1]
+    down = [descending.value(m) for m in range(m_max, -1, -1)][::-1]
     large = counting.WalkTable(k)
-    large.ensure(n_max)
-    assert up == down == [large.value(n) for n in range(n_max + 1)]
-    assert up[1::2] == [0] * (n_max // 2)
+    large.ensure(m_max)
+    assert up == down == [large.value(m) for m in range(m_max + 1)]
 
 
 @pytest.mark.parametrize("k", range(3, 8))
 def test_fk_perfect_grows_its_table_no_further_than_asked(k, monkeypatch):
     fresh = {j: counting.RecurrenceTable(*rec) for j, rec in counting.FK_RECURRENCES.items()}
     monkeypatch.setattr(counting, "_fk_tables", fresh)
-    monkeypatch.setattr(counting, "_walk_tables", {})
+    # entries a(0..max_n), a(m) = f_k(2m, 0); the k = 7 walk table starts at a(0)
+    initial = counting.FK_RECURRENCES[k][1] if k in fresh else (1,)
     for n in (0, 7, 10, 14, 31, 64):
         counting.fk_perfect(k, n)
-        if k in fresh:  # entries a(0..max_n), a(m) = f_k(2m, 0)
-            initial = counting.FK_RECURRENCES[k][1]
-            assert fresh[k].max_n <= max(n // 2, len(initial) - 1)
-        else:  # k = 7 walks: entries for 0..max_n
-            assert counting._walk_tables[k].max_n + 1 <= n + 2
+        assert fresh[k].max_n <= max(n // 2, len(initial) - 1)
 
 
 def _fresh_tk_table(monkeypatch, k):
@@ -141,11 +138,30 @@ def _grow_concurrently(table, queries):
 
 
 def test_walk_table_concurrent_growth_matches_sequential():
-    queries = list(range(81))
-    expected = [counting.WalkTable(4).value(n) for n in queries]
+    queries = list(range(41))
+    expected = [counting.WalkTable(4).value(m) for m in queries]
     table = counting.WalkTable(4)
     assert _grow_concurrently(table, queries) == [expected] * 6
-    assert table.max_n == 80
+    assert table.max_n == 40
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: counting.RecurrenceTable(*counting.TK_RECURRENCES[3]),
+        lambda: counting.WalkTable(3),
+        structures.LambdaTable,
+    ],
+    ids=["RecurrenceTable", "WalkTable", "LambdaTable"],
+)
+def test_table_rejects_negative_index(make):
+    filled = make()
+    filled.ensure(5)
+    for table in (filled, make()):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                table.value(n)
+    assert filled.max_n == 5
 
 
 def test_recurrence_table_concurrent_growth_matches_sequential():
@@ -236,7 +252,7 @@ def test_fk_recurrence_matches_walk_table(k):
     terms = 2 * _unknowns(rec)
     table = counting.RecurrenceTable(*rec)
     assert [table.value(m) for m in range(terms)] == [
-        _walks(k).value(2 * m) for m in range(terms)
+        _walks(k).value(m) for m in range(terms)
     ]
 
 
@@ -246,7 +262,7 @@ def test_tk_recurrence_matches_binomial_sum(k):
     terms = 2 * _unknowns(rec)
     table = counting.RecurrenceTable(*rec)
     assert [table.value(n) for n in range(terms)] == [
-        sum(math.comb(n, 2 * m) * _walks(k).value(2 * m) for m in range(n // 2 + 1))
+        sum(math.comb(n, 2 * m) * _walks(k).value(m) for m in range(n // 2 + 1))
         for n in range(terms)
     ]
 
@@ -277,10 +293,10 @@ def test_vanishing_leading_coefficient_raises():
 def test_walk_table_refuses_past_its_shape_bound():
     bounded = counting.WalkTable(8, max_shapes=100)
     with pytest.raises(BudgetExceededError):
-        bounded.ensure(40)
+        bounded.ensure(20)
     reached = bounded.max_n
     with pytest.raises(BudgetExceededError):  # the same step refuses again
-        bounded.ensure(40)
+        bounded.ensure(20)
     assert bounded.max_n == reached
     assert [bounded.value(n) for n in range(reached + 1)] == [
         _walks(8).value(n) for n in range(reached + 1)
@@ -288,4 +304,4 @@ def test_walk_table_refuses_past_its_shape_bound():
 
 
 def test_fk_perfect_guard_lets_k7_to_64_pass():
-    assert counting.fk_perfect(7, 64) == _walks(7).value(64)
+    assert counting.fk_perfect(7, 64) == _walks(7).value(32)

@@ -122,6 +122,32 @@ def test_phi_identity_orders():
     assert ps.verify_phi_identity(5, 15).ok
 
 
+def test_oversized_checks_are_refused_before_any_table_grows():
+    order = ps.MAX_ORDER + 1
+    tables = (structures._table, counting._fk_tables[3], counting._tk_tables[3])
+    rows = [table.max_n for table in tables]
+    for check in (
+        lambda: ps.verify_laplace_identity(3, order),
+        lambda: ps.verify_functional_equation(3, order),
+        lambda: ps.verify_phi_identity(0, order),
+        lambda: ps.verify_bessel_egf(3, order),
+        lambda: ps.verify_phi_identity(structures.MAX_LAMBDA_ROW - 10, 10),
+    ):
+        with pytest.raises(counting.BudgetExceededError, match="bound"):
+            check()
+    assert [table.max_n for table in tables] == rows
+
+
+def test_bessel_check_asks_for_its_counts_before_the_determinant(monkeypatch):
+    def refuse(k, n):
+        raise counting.BudgetExceededError("no count")
+
+    monkeypatch.setattr(counting, "fk_perfect", refuse)
+    monkeypatch.setattr(ps, "determinant", lambda matrix: pytest.fail("determinant built"))
+    with pytest.raises(counting.BudgetExceededError, match="no count"):
+        ps.verify_bessel_egf(12, ps.MAX_ORDER)
+
+
 def test_phi_base_case_is_fibonacci():
     phi0 = ps.TruncatedSeries([1, -1, -1], 20).reciprocal()
     from crossing_count.structures import lambda_weight

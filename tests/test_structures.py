@@ -46,6 +46,16 @@ def test_lambda_recursion_closure():
             )
 
 
+def test_lambda_matches_the_phi_expansion_to_200():
+    # [x^b] (1+x)^a / (1-x-x^2)^(a+1), a = n - 2b, is the phi identity's
+    # coefficient; expanding it gives a closed sum, independent of the recursion
+    for n in range(201):
+        for b in range(n // 2 + 1):
+            a = n - 2 * b
+            expected = sum(math.comb(a + j, j) * math.comb(a + j, b - j) for j in range(b + 1))
+            assert lambda_weight(n, b) == expected
+
+
 def test_lambda_diagonal_is_fibonacci():
     # lam(0,0) = lam(2,1) = 1, then each diagonal entry is the sum of
     # the previous two
@@ -56,12 +66,13 @@ def test_lambda_diagonal_is_fibonacci():
 
 
 def test_lambda_table_type():
-    table = LambdaTable(max_n=10)
+    table = LambdaTable()
+    table.ensure(10)
     assert table.max_n == 10
     table.ensure(20)
     assert table.max_n == 20
-    assert table.value(8, 4) == 5
-    assert table.value(30, 2) == lambda_weight(30, 2)
+    assert table.value(8)[4] == 5
+    assert table.value(30)[2] == lambda_weight(30, 2)
 
 
 def test_s_k3_small_values():
@@ -121,7 +132,7 @@ def test_counts_match_a_walk_table_recomputation(k):
     # from the walk table and the binomial sum instead
     n_max = 60
     walks = counting.WalkTable(k)
-    f = [walks.value(n) for n in range(n_max + 1)]
+    f = [0 if n % 2 else walks.value(n // 2) for n in range(n_max + 1)]
     t = [sum(math.comb(n, 2 * m) * f[2 * m] for m in range(n // 2 + 1)) for n in range(n_max + 1)]
 
     def signed(n, terms):
@@ -136,11 +147,14 @@ def test_counts_match_a_walk_table_recomputation(k):
 
 
 def test_lambda_table_refuses_rows_past_its_bound():
-    table = LambdaTable(10)
-    with pytest.raises(counting.BudgetExceededError):
-        table.ensure(structures.MAX_LAMBDA_ROW + 1)
-    assert table.max_n == 10
-    assert table.value(12, 1) == 2 * 12 - 3
+    lambda_weight(10, 1)
+    rows = structures._table.max_n
+    n = structures.MAX_LAMBDA_ROW + 1
+    for query in (lambda: lambda_weight(n, 1), lambda: s_k3(3, n)):
+        with pytest.raises(counting.BudgetExceededError, match="bound"):
+            query()
+    assert structures._table.max_n == rows
+    assert lambda_weight(12, 1) == 2 * 12 - 3
 
 
 def test_oversized_count_is_refused_before_any_table_grows():
@@ -155,8 +169,8 @@ def test_oversized_count_is_refused_before_any_table_grows():
 
 def test_lambda_table_concurrent_growth_matches_sequential():
     queries = [(n, b) for n in range(100) for b in range(n // 2 + 1)]
-    sequential = LambdaTable(99)
-    expected = {q: sequential.value(*q) for q in queries}
+    sequential = LambdaTable()
+    expected = {(n, b): sequential.value(n)[b] for n, b in queries}
     table = LambdaTable()
     start = threading.Barrier(6)
     results = []
@@ -164,7 +178,7 @@ def test_lambda_table_concurrent_growth_matches_sequential():
     def worker(seed):
         order = random.Random(seed).sample(queries, len(queries))
         start.wait(timeout=60)
-        results.append({q: table.value(*q) for q in order})
+        results.append({(n, b): table.value(n)[b] for n, b in order})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # force frequent thread switches
