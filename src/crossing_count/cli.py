@@ -249,6 +249,10 @@ def cmd_asym(args) -> int:
     from . import asymptotics
 
     base = _base(args)
+    # the larger n first: a row past a table's bound is refused before any is computed
+    report = None
+    if args.n_max is not None and args.n_max > args.n:
+        report = asymptotics.estimate_kprime(args.n_max)
     count = _structure_count(3, args.n, None, _open_cache(args))
     exact = asymptotics.scaled_count(count, base, args.n)
     asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
@@ -265,7 +269,8 @@ def cmd_asym(args) -> int:
         "ratio": None if asym is None else f"{exact / asym:.6f}",
     }
     if args.n_max is not None:
-        report = asymptotics.estimate_kprime(args.n_max)
+        if report is None:
+            report = asymptotics.estimate_kprime(args.n_max)
         payload["kprime_raw"] = f"{report.raw_last:.6f}"
         payload["kprime_estimate"] = f"{report.estimate:.6f}"
         payload["kprime_limit"] = f"{asymptotics.singular_constants_check().kprime_limit:.6f}"

@@ -5,7 +5,9 @@ Enumerates partial matchings directly from the definition: vertices
 and no max_crossing mutually crossing arcs.  The search branches on the
 leftmost undecided vertex (isolate it or pair it with an admissible
 partner) and prunes as soon as a forbidden crossing set appears; adding
-arcs never destroys an existing crossing set, so pruning is sound.
+arcs never destroys an existing crossing set, so pruning is sound.  Once
+that vertex is past n - min_arc_length no arc can start, so the rest of
+the diagram is fixed and counted at once.
 
 This module is deliberately dumb and exponential.  A deterministic
 budget guard (estimated search size, not wall time) refuses instances
@@ -125,16 +127,18 @@ def enumerate_count(spec: EnumSpec, branch_rng=None):
     used = [False] * (n + 2)
     chosen: list[tuple[int, int]] = []
 
+    last_start = n - min_len  # no arc starts past this vertex
+
     def backtrack(v: int) -> None:
         while v <= n and used[v]:
             v += 1
-        if v > n:
+        if v > last_start:  # every vertex left stays isolated: one diagram
             ell = n - 2 * len(chosen)
             hist[ell] = hist.get(ell, 0) + 1
             return
         backtrack(v + 1)  # leave v isolated
         partners = [j for j in range(v + min_len, n + 1) if not used[j]]
-        if branch_rng is not None:
+        if branch_rng is not None and len(partners) > 1:  # shorter lists draw nothing
             branch_rng.shuffle(partners)
         for j in partners:
             arc = (v, j)

@@ -4,10 +4,14 @@ A TruncatedSeries is a coefficient vector closed under a fixed
 truncation order N: all arithmetic (including reciprocal and
 composition) is exact modulo x^{N+1}, in the ring of its coefficients.
 Integer series stay integer, and so does the reciprocal of one with
-constant term 1 or -1; any other reciprocal gives Fractions.  The
-verify_* functions rebuild both sides of the generating-function
-identities that tie the structure counts to the matching counts and
-report the first coefficient where the two sides disagree, if any.  All
+constant term 1 or -1; any other reciprocal gives Fractions.  Every
+product of two series is one big-integer product (Kronecker
+substitution, after clearing a common denominator), and a reciprocal is
+a few such products by Newton's iteration, so no product or reciprocal
+loops over pairs of coefficients in Python.  The verify_* functions
+rebuild both sides of the generating-function identities that tie the
+structure counts to the matching counts and report the first
+coefficient where the two sides disagree, if any.  All
 of them but the Bessel check run on plain integers: only that
 determinant of exponential generating functions is rational.
 """
@@ -22,9 +26,65 @@ from fractions import Fraction
 from . import counting, structures
 
 # Every verify_* refuses an order past this before any table grows (see
-# _sequence): Horner composition grows about cubically with the order, and
-# `verify --which all` takes about 3 s at k = 3 and 7 s at k = 6 at this one.
+# _sequence): Horner composition takes order/2 products whose coefficients
+# grow with the order, and `verify --which all` takes about 0.7 s at k = 3
+# and 1.6 s at k = 6 at this one.
 MAX_ORDER = 200
+
+
+def _integer_vector(coeffs: list) -> tuple[list[int], int | None]:
+    """(ints, den) with coeffs[i] == ints[i] / den.
+
+    den is None when every coefficient is a plain int (ints is coeffs
+    then), and the least common denominator otherwise, which may be 1.
+    """
+    if all(type(c) is int for c in coeffs):
+        return coeffs, None
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
+    """The first `length` coefficients of the integer polynomial a * b.
+
+    Kronecker substitution: each vector, trailing zeros dropped, becomes
+    one integer whose base-2^w digits are its coefficients, and one
+    big-integer product gives every coefficient at once.  Each product
+    coefficient sums at most min(len(a), len(b)) terms, so w leaves room
+    for it and a sign bit, and no digit carries into the next.  Digits are
+    packed and read whole bytes at a time, each shifted by 2^(w-1) so it
+    is nonnegative.
+    """
+    square = a is b
+    a = _without_trailing_zeros(a[:length])
+    b = a if square else _without_trailing_zeros(b[:length])
+    if not a or not b:
+        return [0] * length
+    terms = min(len(a), len(b))
+    bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b)) + terms.bit_length() + 1
+    size = (bits + 7) // 8  # bytes per digit
+    half = 1 << (8 * size - 1)
+    digit_half = half.to_bytes(size, "little")
+
+    def pack(v: list[int]) -> int:
+        biased = b"".join([(c + half).to_bytes(size, "little") for c in v])
+        return int.from_bytes(biased, "little") - int.from_bytes(digit_half * len(v), "little")
+
+    x = pack(a)
+    product = x * x if square else x * pack(b)
+    count = min(length, len(a) + len(b) - 1)
+    nbytes = size * count
+    biased = (product + int.from_bytes(digit_half * count, "little")) & ((1 << (8 * nbytes)) - 1)
+    data = memoryview(biased.to_bytes(nbytes, "little"))
+    out = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, nbytes, size)]
+    return out + [0] * (length - count)
+
+
+def _without_trailing_zeros(v: list) -> list:
+    end = len(v)
+    while end and not v[end - 1]:
+        end -= 1
+    return v[:end]
 
 
 class TruncatedSeries:
@@ -39,7 +99,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, numbers.Rational):
+            if type(c) is not int and not isinstance(c, numbers.Rational):
                 raise TypeError(f"series coefficients must be exact rationals, got {c!r}")
         if order is None:
             if not coeffs:
@@ -95,42 +155,50 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):  # a scalar
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         self._check_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out, n)
+        a, a_den = _integer_vector(self.coeffs)
+        b, b_den = (a, a_den) if other is self else _integer_vector(other.coeffs)
+        product = _kronecker_product(a, b, self.order + 1)
+        if a_den is None and b_den is None:
+            return TruncatedSeries(product, self.order)
+        den = (a_den or 1) * (b_den or 1)
+        return TruncatedSeries([Fraction(p, den) for p in product], self.order)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series r with self * r = 1 modulo x^(order+1)."""
+        """Series r with self * r = 1 modulo x^(order+1), by Newton steps.
+
+        If r inverts self modulo x^d, then self * r = 1 + x^d e and
+        r - x^d r e inverts it modulo x^(2d): each step doubles the known
+        terms with two products.
+        """
         a = self.coeffs
         if not a[0]:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
-        out = [inv0] + [0] * self.order
-        for n in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                if a[i]:
-                    acc += a[i] * out[n - i]
-            out[n] = -acc * inv0
-        return TruncatedSeries(out, self.order)
+        r = [a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])]
+        while len(r) <= self.order:
+            done = len(r)
+            step = min(done, self.order + 1 - done)
+            top = done + step - 1
+            ar = TruncatedSeries(a[: top + 1], top) * TruncatedSeries(r, top)
+            e = TruncatedSeries(ar.coeffs[done:], step - 1)
+            correction = TruncatedSeries(r[:step], step - 1) * e
+            r += [-c for c in correction.coeffs]
+        return TruncatedSeries(r, self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner); inner must have zero constant term."""
+        """self(inner); inner must have zero constant term.
+
+        Horner's rule from the highest nonzero coefficient of self.
+        """
         self._check_order(inner)
         if inner.coeffs[0]:
             raise ValueError("composition needs a zero constant term inside")
-        result = TruncatedSeries([self.coeffs[self.order]], self.order)
-        for i in range(self.order - 1, -1, -1):
+        top = self.order
+        while top and not self.coeffs[top]:
+            top -= 1
+        result = TruncatedSeries([self.coeffs[top]], self.order)
+        for i in range(top - 1, -1, -1):
             result = result * inner
             result.coeffs[0] += self.coeffs[i]
         return result
@@ -187,8 +255,11 @@ def determinant(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
         if not pivot[0]:
             raise ValueError(f"pivot {c} has a zero constant term")
         det = det * pivot
+        below = rows[c + 1 :]
+        if not below:  # the last pivot eliminates nothing, so it is never inverted
+            break
         inverse = pivot.reciprocal()
-        for row in rows[c + 1 :]:
+        for row in below:
             factor = row[c] * inverse
             for j in range(c + 1, len(rows)):
                 row[j] = row[j] - factor * pivot_row[j]
@@ -243,11 +314,16 @@ def _substitution(
     N and D are polynomial coefficient lists with N(0) = 0 and D(0) = 1, so
     the right side stays in Z[[x]].  Left side from the counts, right side
     rebuilt through series arithmetic only; the two routes are independent.
+    F_k(w) is composed as G(w^2), G(y) = sum f_k(2m,0) y^m: the same series,
+    since f_k(n, 0) = 0 at odd n, in half the Horner steps.
     """
     lhs = _sequence(term, k, order)
     f_k = _sequence(counting.fk_perfect, k, order)
+    if any(f_k.coeffs[1::2]):
+        raise ArithmeticError(f"f_{k}(n, 0) is nonzero at an odd n")
     inverse = TruncatedSeries(denominator, order).reciprocal()
-    rhs = inverse * f_k.compose(TruncatedSeries(numerator, order) * inverse)
+    w = TruncatedSeries(numerator, order) * inverse
+    rhs = inverse * TruncatedSeries(f_k.coeffs[::2], order).compose(w * w)
     return _compare(name, lhs, rhs)
 
 

@@ -1,12 +1,15 @@
 """Shared test utilities: an independent polynomial root oracle,
+coefficient-loop oracles for series products and reciprocals,
 significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 
 import crossing_count
+from crossing_count.powerseries import TruncatedSeries
 
 
 def poly_eval(coeffs, z: complex) -> complex:
@@ -77,6 +80,34 @@ def match_roots(found, expected) -> float:
         remaining.remove(best)
         worst = max(worst, abs(best - z))
     return worst
+
+
+def schoolbook_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b by the O(N^2) coefficient loop, in the coefficients' own ring."""
+    n = a.order
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a.coeffs):
+        if not ai:
+            continue
+        for j in range(n + 1 - i):
+            bj = b.coeffs[j]
+            if bj:
+                out[i + j] += ai * bj
+    return TruncatedSeries(out, n)
+
+
+def schoolbook_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+    """1 / a by solving a * r = 1 one coefficient at a time."""
+    c = a.coeffs
+    inv0 = c[0] if c[0] in (1, -1) else 1 / Fraction(c[0])
+    out = [inv0] + [0] * a.order
+    for n in range(1, a.order + 1):
+        acc = 0
+        for i in range(1, n + 1):
+            if c[i]:
+                acc += c[i] * out[n - i]
+        out[n] = -acc * inv0
+    return TruncatedSeries(out, a.order)
 
 
 def matches_sig_figs(computed: float, printed: float, figures: int) -> bool:

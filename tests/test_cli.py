@@ -100,6 +100,16 @@ def test_oversized_table_is_refused_before_any_row(capsys):
     assert structures._table.max_n == rows
 
 
+def test_oversized_kprime_is_refused_before_the_count_at_n(capsys):
+    rows = structures._table.max_n
+    n = str(min(rows + 10, structures.MAX_LAMBDA_ROW))
+    n_max = str(structures.MAX_LAMBDA_ROW + 10)
+    code, out, err = run_cli(capsys, "asym", "--n", n, "--n-max", n_max)
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ")
+    assert structures._table.max_n == rows
+
+
 def test_verify_all_green(capsys):
     code, out, _ = run_cli(capsys, "verify", "--which", "all", "--k", "3", "--order", "12")
     assert code == 0

@@ -63,6 +63,13 @@ def test_enumerate_hand_counts():
     assert enumerate_count(EnumSpec(n=4, max_crossing=3, min_arc_length=3)) == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_no_room_for_an_arc_leaves_one_empty_diagram(n):
+    spec = EnumSpec(n=n, max_crossing=3, min_arc_length=n + 1, by_isolated=True)
+    assert enumerate_count(spec) == {n: 1}
+    assert enumerate_count(spec, branch_rng=random.Random(n)) == {n: 1}
+
+
 def test_enumerate_perfect_matching_bucket():
     hist = enumerate_count(
         EnumSpec(n=6, max_crossing=3, min_arc_length=1, by_isolated=True)

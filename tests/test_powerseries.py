@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import schoolbook_product, schoolbook_reciprocal
 from crossing_count import counting, structures
 from crossing_count import powerseries as ps
 from crossing_count.powerseries import TruncatedSeries
@@ -18,6 +19,25 @@ coefficients = st.fractions(
 series = st.lists(coefficients, min_size=1, max_size=ORDER + 1).map(
     lambda cs: TruncatedSeries(cs, ORDER)
 )
+
+# small values and values past 2^300, of both signs
+int_coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**310), 2**310))
+rational_coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+
+
+@st.composite
+def series_pairs(draw, left, right):
+    """Two series of one order in 0..12; an empty list is the zero series."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    return tuple(
+        TruncatedSeries(draw(st.lists(coeffs, max_size=order + 1)), order) for coeffs in (left, right)
+    )
+
+
+@st.composite
+def invertible_series(draw, coefficients, constants):
+    order = draw(st.integers(min_value=0, max_value=12))
+    return TruncatedSeries([draw(constants), *draw(st.lists(coefficients, max_size=order))], order)
 
 
 def poly(*coeffs, order=10):
@@ -88,6 +108,47 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@given(series_pairs(int_coefficients, int_coefficients))
+def test_integer_product_matches_schoolbook_and_stays_integer(pair):
+    a, b = pair
+    for product, expected in ((a * b, schoolbook_product(a, b)), (a * a, schoolbook_product(a, a))):
+        assert product == expected
+        assert all(type(c) is int for c in product.coeffs)
+
+
+@given(series_pairs(rational_coefficients, rational_coefficients))
+def test_rational_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook_product(a, b)
+    assert a * a == schoolbook_product(a, a)
+
+
+@given(series_pairs(int_coefficients, rational_coefficients))
+def test_mixed_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook_product(a, b) == b * a
+
+
+@pytest.mark.parametrize("order", [0, 1, 7])
+def test_products_with_zero_and_at_order_zero(order):
+    zero, big = TruncatedSeries.zero(order), TruncatedSeries([-(2**300), 3, 2**301], order)
+    rational = TruncatedSeries([Fraction(1, 3), Fraction(-5, 2)], order)
+    for a, b in ((zero, big), (big, zero), (zero, zero), (rational, zero), (big, big), (big, rational)):
+        assert a * b == schoolbook_product(a, b)
+
+
+@given(invertible_series(int_coefficients, st.sampled_from([1, -1])))
+def test_unit_reciprocal_matches_schoolbook_and_stays_integer(a):
+    r = a.reciprocal()
+    assert r == schoolbook_reciprocal(a)
+    assert all(type(c) is int for c in r.coeffs)
+
+
+@given(invertible_series(rational_coefficients, rational_coefficients.filter(bool)))
+def test_rational_reciprocal_matches_schoolbook(a):
+    assert a.reciprocal() == schoolbook_reciprocal(a)
 
 
 @given(series)
@@ -253,6 +314,30 @@ def test_determinant_rejects_zero_pivot_constant():
         ps.determinant([[x, one], [one, x]])
 
 
+def test_determinant_rejects_a_zero_last_pivot():
+    x, one, zero = TruncatedSeries.x(6), TruncatedSeries.one(6), TruncatedSeries.zero(6)
+    with pytest.raises(ValueError, match="pivot 1"):
+        ps.determinant([[one, zero], [zero, x]])
+    with pytest.raises(ValueError, match="pivot 0"):
+        ps.determinant([[x]])
+
+
+def test_determinant_inverts_every_pivot_but_the_last(monkeypatch):
+    inverted = []
+    reciprocal = TruncatedSeries.reciprocal
+
+    def counted(self):
+        inverted.append(self)
+        return reciprocal(self)
+
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", counted)
+    for k in range(3, 7):
+        inverted.clear()
+        matrix = _bessel_matrix(k, 10)
+        assert ps.determinant(matrix) == _permutation_determinant(matrix)
+        assert len(inverted) == len(matrix) - 1
+
+
 def test_bessel_determinant_at_k_12():
     # for n < 2k no k arcs can cross, so f_12(n, 0) = (n-1)!! and T_12(n)
     # is the involution number
@@ -283,6 +368,13 @@ def test_laplace_identity_pinpoints_a_wrong_matching_count(monkeypatch):
     report = ps.verify_laplace_identity(3, 20)
     assert report.first_mismatch == 7
     assert report.describe() == "laplace(k=3): MISMATCH at x^7 (lhs=226, rhs=225)"
+
+
+def test_substitution_refuses_a_perfect_matching_count_at_odd_n(monkeypatch):
+    fk_perfect = counting.fk_perfect
+    monkeypatch.setattr(counting, "fk_perfect", lambda k, n: fk_perfect(k, n) + (n == 5))
+    with pytest.raises(ArithmeticError, match="odd"):
+        ps.verify_laplace_identity(3, 10)
 
 
 def test_report_pinpoints_first_mismatch():
