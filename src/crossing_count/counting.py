@@ -21,8 +21,9 @@ walk of length 2m at its midpoint gives
 where W_m(lam) counts the m-step walks from the empty shape to lam, so
 one more step of the frontier W_m extends the sequence by one term, and
 T_k(n) = sum_m binom(n, 2m) f_k(2m, 0).  That route stays the test
-oracle for the recurrences.  Partial-matching counts follow by choosing
-which vertices stay isolated.
+oracle for the recurrences; a request whose W_m would pass
+MAX_FRONTIER_SHAPES is refused from frontier_shapes, before any step.
+Partial-matching counts follow by choosing which vertices stay isolated.
 
 Everything here is exact: counts are plain Python integers and are never
 rounded.  Each sequence has one table (f_k by m, T_k by n) that grows
@@ -35,8 +36,8 @@ from __future__ import annotations
 import math
 import threading
 
-# A walk table for a k with no recurrence refuses to keep more shapes than
-# this: k = 7 reaches it near n = 84, k = 8 near n = 76, after about 1.5 s.
+# f_k(2m, 0) for a k with no recurrence is refused, before any walk step, if
+# W_m would keep more shapes than this: k = 7 from n = 84, k = 8 from n = 76.
 MAX_FRONTIER_SHAPES = 20_000
 
 # coefficients[i][j] is the n^j coefficient of p_i; initial terms a(0), ...
@@ -57,10 +58,8 @@ def catalan(m: int) -> int:
 
 class GrowingTable:
     """Terms a(0), ..., a(max_n) that a subclass's _step extends in order.
-
-    A term is any value that is appended whole and never changed, so reads
-    need no lock; growth takes the table's own lock.
-    """
+    A term is appended whole and never changed, so reads need no lock;
+    growth takes the table's own lock."""
 
     def __init__(self, initial):
         self._terms = list(initial)
@@ -69,9 +68,6 @@ class GrowingTable:
     @property
     def max_n(self) -> int:
         return len(self._terms) - 1
-
-    def _step(self) -> None:
-        raise NotImplementedError
 
     def ensure(self, n: int) -> None:
         """Extend the table so every term up to n is filled."""
@@ -115,15 +111,12 @@ class WalkTable(GrowingTable):
     """f_k(2m, 0) for m = 0, 1, ..., max_n, extended one walk step at a time.
 
     Keeps the frontier W_m of m-step walks from the empty shape; a step
-    advances it to W_{m+1} and appends f_k(2m+2, 0).  With max_shapes
-    set, a step whose frontier would pass that many shapes raises
-    BudgetExceededError and leaves the table as it was.
+    advances it to W_{m+1} and appends f_k(2m+2, 0).
     """
 
-    def __init__(self, k: int, max_shapes: int | None = None):
+    def __init__(self, k: int):
         super().__init__([1])
         self._max_rows = k - 1
-        self._max_shapes = max_shapes
         self._frontier: dict[tuple[int, ...], int] = {(): 1}
 
     def _step(self) -> None:
@@ -145,21 +138,30 @@ class WalkTable(GrowingTable):
                     v = shape[i] - 1
                     cand = shape[:i] + (v,) + shape[i + 1 :] if v else shape[:i]
                     nxt[cand] = get(cand, 0) + ways
-        if self._max_shapes is not None and len(nxt) > self._max_shapes:
-            raise BudgetExceededError(
-                f"f_{self._max_rows + 1}({2 * self.max_n + 2}, 0) needs a walk frontier of "
-                f"{len(nxt)} shapes, over the bound of {self._max_shapes}; "
-                "no recurrence is committed for this k"
-            )
         self._frontier = nxt
         self._terms.append(sum(ways * ways for ways in nxt.values()))
 
 
-def _fk_table(k: int) -> GrowingTable:
-    """The f_k(2m, 0) table: the recurrence, else a guarded walk table made once."""
+def frontier_shapes(k: int, m: int) -> int:
+    """Shapes in W_m, those with at most k-1 rows, at most m squares and the
+    parity of m, counted as their conjugates: partitions into parts <= k-1."""
+    ways = [1] + [0] * m
+    for part in range(1, min(k - 1, m) + 1):
+        for j in range(part, m + 1):
+            ways[j] += ways[j - part]
+    return sum(ways[m % 2 :: 2])
+
+
+def _fk_table(k: int, m: int) -> GrowingTable:
+    """The table for f_k(2m, 0): the recurrence, else the walk table, made once."""
     if k < 2:
         raise ValueError(f"crossing bound k must be >= 2, got {k}")
-    return _fk_tables.get(k) or _fk_tables.setdefault(k, WalkTable(k, MAX_FRONTIER_SHAPES))
+    # W_m only grows with m, and with two rows W_2t alone has (t+1)(t+2)/2
+    # shapes, past the bound at t = isqrt(2 bound): no larger m need be counted
+    counted = min(m, 2 * math.isqrt(2 * MAX_FRONTIER_SHAPES))
+    if k not in FK_RECURRENCES and frontier_shapes(k, counted) > MAX_FRONTIER_SHAPES:
+        raise BudgetExceededError(f"f_{k}({2 * m}, 0) needs over {MAX_FRONTIER_SHAPES} walk shapes")
+    return _fk_tables.get(k) or _fk_tables.setdefault(k, WalkTable(k))
 
 
 def fk_perfect(k: int, n: int) -> int:
@@ -168,9 +170,9 @@ def fk_perfect(k: int, n: int) -> int:
     Zero for odd n (no perfect matching exists) and one for n = 0 (the
     empty matching).
     """
-    table = _fk_table(k)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
+    table = _fk_table(k, 0 if n % 2 else n // 2)
     return 0 if n % 2 else table.value(n // 2)
 
 
@@ -179,8 +181,6 @@ def fk_closed_form_k3(n: int) -> int:
 
     Independent of the recurrence table: C_{n/2+2} * C_{n/2} - C_{n/2+1}^2.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n % 2:
         raise ValueError(f"closed form needs an even vertex count, got {n}")
     m = n // 2
@@ -204,7 +204,7 @@ def tk_total(k: int, n: int) -> int:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if k in _tk_tables:
         return _tk_tables[k].value(n)
-    f = _fk_table(k)
+    f = _fk_table(k, n // 2)
     return sum(math.comb(n, 2 * m) * f.value(m) for m in range(n // 2 + 1))
 
 

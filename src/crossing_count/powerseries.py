@@ -30,6 +30,10 @@ from . import counting, structures
 # grow with the order, and `verify --which all` takes about 0.7 s at k = 3
 # and 1.6 s at k = 6 at this one.
 MAX_ORDER = 200
+# verify_bessel_egf refuses a k past this before any count is read: its
+# (k-1) x (k-1) elimination grows like k^3.  At k = 12 the largest order the
+# walk frontier accepts, 65, takes about 0.7 s in the determinant.
+MAX_BESSEL_K = 12
 
 
 def _integer_vector(coeffs: list) -> tuple[list[int], int | None]:
@@ -361,6 +365,8 @@ def verify_bessel_egf(k: int, order: int) -> IdentityReport:
     n! [x^n] det = f_k(n, 0), and after multiplying by e^x,
     n! [x^n] (e^x det) = T_k(n).
     """
+    if k > MAX_BESSEL_K:
+        raise counting.BudgetExceededError(f"Bessel k = {k} is past the bound of {MAX_BESSEL_K}")
     # the counts before the determinant, so a refused walk term costs no series work
     f_k, t_k = (_sequence(term, k, order) for term in (counting.fk_perfect, counting.tk_total))
     size = k - 1

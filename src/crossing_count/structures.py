@@ -49,27 +49,36 @@ class LambdaTable(counting.GrowingTable):
 _table = LambdaTable()
 
 
-def _row(n: int) -> list[int]:
-    """Row lam(n, .) of the shared table, refused past MAX_LAMBDA_ROW before it grows."""
+def _check_row(n: int) -> None:
+    """Refuse a lam row past MAX_LAMBDA_ROW before the table grows."""
     if n > MAX_LAMBDA_ROW:
         raise counting.BudgetExceededError(f"lam row {n} is past the bound of {MAX_LAMBDA_ROW}")
-    return _table.value(n)
 
 
 def lambda_weight(n: int, b: int) -> int:
     """Weight lam(n, b); zero outside 0 <= 2b <= n."""
-    row = _row(n)
+    _check_row(n)
+    row = _table.value(n)
     return row[b] if 0 <= b < len(row) else 0
 
 
 def _signed_sum(k: int, n: int, ell: int | None) -> int:
-    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell."""
+    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell.
+
+    The row bound, then the largest count (b = 0, lam(n, 0) = 1), come
+    before the row is built, so a refused request grows no table.
+    """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
-    row, value = _row(n), 0
-    for b in range((n - (ell or 0)) // 2 + 1):
-        m = n - 2 * b
-        term = row[b] * (counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell))
+
+    def count(m: int) -> int:
+        return counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell)
+
+    _check_row(n)
+    value = count(n)
+    row = _table.value(n)
+    for b in range(1, (n - (ell or 0)) // 2 + 1):
+        term = row[b] * count(n - 2 * b)
         value += -term if b % 2 else term
     if value < 0:
         where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")

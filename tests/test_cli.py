@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from helpers import package_env
-from crossing_count import cli, powerseries, structures
+from crossing_count import cli, counting, powerseries, structures
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
 
@@ -78,8 +78,8 @@ def test_budget_refusal_exit_3(capsys):
 
 
 def test_count_without_recurrence_refuses_with_exit_3():
-    # k = 8 has no committed recurrence; its walk frontier passes the shape
-    # bound near n = 76, long before n = 400
+    # k = 8 has no committed recurrence, and the walk frontier for n = 400
+    # would keep far more shapes than the bound
     proc = subprocess.run(
         [sys.executable, "-m", "crossing_count", "count", "--k", "8", "--n", "400"],
         capture_output=True,
@@ -108,6 +108,35 @@ def test_oversized_kprime_is_refused_before_the_count_at_n(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("refused: ")
     assert structures._table.max_n == rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--k", "8", "--n", "400"], ["verify", "--which", "all", "--k", "8", "--order", "100"]],
+)
+def test_oversized_walk_request_is_refused_before_any_step(capsys, monkeypatch, argv):
+    fk_tables = {k: table for k, table in counting._fk_tables.items() if k != 8}
+    monkeypatch.setattr(counting, "_fk_tables", fk_tables)
+    rows = structures._table.max_n
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ") and "shapes" in err
+    assert 8 not in fk_tables and 8 not in counting._tk_tables
+    assert structures._table.max_n == rows
+
+
+def test_bessel_bound_refuses_verify_all_before_any_check(capsys, monkeypatch):
+    fk_tables = {k: table for k, table in counting._fk_tables.items() if k != 13}
+    monkeypatch.setattr(counting, "_fk_tables", fk_tables)
+    code, out, err = run_cli(capsys, "verify", "--which", "all", "--k", "13", "--order", "60")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: Bessel")
+    assert 13 not in fk_tables
+
+
+def test_odd_walk_request_reads_no_term(capsys):
+    # no perfect matching on 401 vertices: the answer needs no walk frontier
+    assert run_cli(capsys, "count", "--k", "8", "--n", "401", "--ell", "0")[:2] == (0, "0\n")
 
 
 def test_verify_all_green(capsys):

@@ -9,8 +9,9 @@ positive and for table --digits below 1 were added later, as were the
 verify cases at the benchmark's orders, one Bessel check at k = 12, and
 the unwritable --cache, non-finite roots coefficient and --budget -5 / 0
 cases, one asym case with --n-max, the refusal of a count past the
-short-arc weight table's row bound, and the refusal of a verify order past
-the series bound (see the file's "about" note).
+short-arc weight table's row bound, the refusal of a verify order past
+the series bound, two k = 8 walk requests (one refused, one odd) and the
+refusal of a Bessel check past its bound on k (see the file's "about" note).
 """
 
 import json

@@ -290,17 +290,34 @@ def test_vanishing_leading_coefficient_raises():
         table.ensure(5)
 
 
-def test_walk_table_refuses_past_its_shape_bound():
-    bounded = counting.WalkTable(8, max_shapes=100)
-    with pytest.raises(BudgetExceededError):
-        bounded.ensure(20)
-    reached = bounded.max_n
-    with pytest.raises(BudgetExceededError):  # the same step refuses again
-        bounded.ensure(20)
-    assert bounded.max_n == reached
-    assert [bounded.value(n) for n in range(reached + 1)] == [
-        _walks(8).value(n) for n in range(reached + 1)
-    ]
+def test_shape_count_is_the_walk_frontier():
+    for k in range(2, 9):
+        walks = counting.WalkTable(k)
+        for m in range(31):
+            walks.ensure(m)
+            assert counting.frontier_shapes(k, m) == len(walks._frontier), (k, m)
+
+
+@pytest.mark.parametrize(("k", "n_accepted"), [(7, 82), (8, 74)])
+def test_walk_request_is_refused_from_the_shape_count(k, n_accepted, monkeypatch):
+    # the frontier passes the shape bound first at n = 84 for k = 7 and at
+    # n = 76 for k = 8
+    fresh = {j: counting.RecurrenceTable(*rec) for j, rec in counting.FK_RECURRENCES.items()}
+    monkeypatch.setattr(counting, "_fk_tables", fresh)
+    refused = n_accepted + 2
+    for query in (
+        lambda: counting.fk_perfect(k, refused),
+        lambda: counting.tk_total(k, refused),
+        lambda: counting.fk_partial(k, refused + 1, 1),
+        lambda: counting.fk_perfect(k, 10**9),
+        lambda: counting.tk_total(10**6, 10**6),
+    ):
+        with pytest.raises(BudgetExceededError, match="walk shapes"):
+            query()
+    assert fresh.keys() == counting.FK_RECURRENCES.keys()  # no walk table made
+    assert counting.frontier_shapes(k, n_accepted // 2) <= counting.MAX_FRONTIER_SHAPES
+    assert counting._fk_table(k, n_accepted // 2).max_n == 0  # accepted, nothing walked yet
+    assert counting.fk_perfect(k, refused + 1) == 0  # odd: no term is read, so no refusal
 
 
 def test_fk_perfect_guard_lets_k7_to_64_pass():

@@ -209,6 +209,14 @@ def test_bessel_check_asks_for_its_counts_before_the_determinant(monkeypatch):
         ps.verify_bessel_egf(12, ps.MAX_ORDER)
 
 
+def test_bessel_check_refuses_k_past_its_bound_before_any_count(monkeypatch):
+    for name in ("fk_perfect", "tk_total"):
+        monkeypatch.setattr(counting, name, lambda k, n: pytest.fail("count read"))
+    for k in (ps.MAX_BESSEL_K + 1, 60):
+        with pytest.raises(counting.BudgetExceededError, match="bound"):
+            ps.verify_bessel_egf(k, 2)
+
+
 def test_phi_base_case_is_fibonacci():
     phi0 = ps.TruncatedSeries([1, -1, -1], 20).reciprocal()
     from crossing_count.structures import lambda_weight
