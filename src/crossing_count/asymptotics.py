@@ -214,6 +214,7 @@ def estimate_rk(k: int, n_max: int) -> float:
     from . import counting
 
     m_max = n_max // 2
+    counting.fk_perfect(k, 2 * m_max)  # largest first: an oversized table is refused before it grows
     f = [counting.fk_perfect(k, 2 * m) for m in range(m_max + 1)]
     seq = [(m, math.sqrt(f[m - 1] / f[m])) for m in range(1, m_max + 1)]
     for j in range(1, 4):

@@ -450,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="forbidden crossing number")
     p.add_argument("--min-arc", type=int, default=3)
     p.add_argument("--by-isolated", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help="search-size bound")
+    p.add_argument(
+        "--budget", type=int, default=None, help="bound on the search states (0 refuses every search)"
+    )
     p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle branch order")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)

@@ -1,28 +1,47 @@
 """Brute-force ground truth for structure counts at small n.
 
-Enumerates partial matchings directly from the definition: vertices
-1..n of degree at most one, arcs (i, j) with j - i >= min_arc_length,
-and no max_crossing mutually crossing arcs.  The search branches on the
-leftmost undecided vertex (isolate it or pair it with an admissible
-partner) and prunes as soon as a forbidden crossing set appears; adding
-arcs never destroys an existing crossing set, so pruning is sound.  Once
-that vertex is past n - min_arc_length no arc can start, so the rest of
-the diagram is fixed and counted at once.
+Counts partial matchings directly from the definition: vertices 1..n
+of degree at most one, arcs (i, j) with j - i >= min_arc_length, and no
+max_crossing mutually crossing arcs.  The search decides the vertices
+from left to right: the first undecided vertex v is left isolated or
+paired with an admissible partner.
 
-This module is deliberately dumb and exponential.  A deterministic
-budget guard (estimated search size, not wall time) refuses instances
-that are too large, so a refusal is reproducible and never a partial
-count.
+A state is v together with the ends b of the open arcs (a, b), a < v < b,
+listed in the order of their starts.  That key is exact: it is all the
+past that shapes the completions.
+- Two open arcs cross iff their ends come in the same order as their
+  starts; so the open arcs hold k mutually crossing arcs iff the ends
+  have an increasing run of length k.
+- A later arc (v', j') crosses an open arc iff v' < b < j'; a closed arc
+  ends before v' and crosses none.
+- The used vertices past v are exactly those ends.
+So a pair (v, j) completes a k-crossing iff j is past b*, the least end
+that closes an increasing run of k - 1 ends, and the search counts each
+state once, however many paths reach it.  Each state carries the
+histogram of the paths into it as one packed int (slot a: paths with a
+arcs), so adding an arc is a shift and merging two paths is one add.
+Once v is past n - min_arc_length no arc can start, so the rest of the
+diagram is fixed.
+
+The search stays exponential.  A deterministic budget guard (an
+a-priori bound on the number of states, not wall time) refuses
+instances that are too large before any search, so a refusal is
+reproducible and never a partial count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations
+from math import comb, factorial
 
 from .counting import BudgetExceededError  # re-exported: the oracle raises it too
 
-DEFAULT_BUDGET = 10**8
+# states, not diagrams: admits oracle --n 18 --k 3 (bound 297 820, 1.8 s on a
+# 2-vCPU VM) and --n 17 --k 4 (441 120, 3.3 s); refuses --n 19 --k 3
+# (701 171) at once
+DEFAULT_BUDGET = 5 * 10**5
 
 
 class Diagram(namedtuple("Diagram", "n arcs")):
@@ -53,7 +72,8 @@ class EnumSpec(
     )
 ):
     """What to enumerate: size, crossing cap, arc-length floor, output
-    (the histogram by isolated vertices, or the total) and search budget."""
+    (the histogram by isolated vertices, or the total) and the budget on
+    search states."""
 
     __slots__ = ()
 
@@ -92,20 +112,120 @@ def crossing_number(d: Diagram) -> int:
     return 1 if arcs else 0
 
 
-def _completes_crossing_set(chosen: list[tuple[int, int]], arc, k: int) -> bool:
-    """Would adding arc create k mutually crossing arcs?"""
-    crossers = [a for a in chosen if arcs_cross(a, arc)]
-    if len(crossers) < k - 1:
-        return False
-    return any(_mutually_crossing(c) for c in combinations(crossers, k - 1))
+def _shapes(m: int, widest: int):
+    """Partitions of m into parts of at most widest, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, widest), 0, -1):
+        for rest in _shapes(m - part, part):
+            yield (part, *rest)
 
 
-def _involutions(n: int) -> int:
-    # partial matchings with no constraints; a-priori search-size estimate
-    a, b = 1, 1
-    for m in range(2, n + 1):
-        a, b = b, b + (m - 1) * a
-    return b
+def _tableaux(shape) -> int:
+    """Standard Young tableaux of the shape, by the hook length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1 :] if r > j)
+            hooks *= row - j + below
+    return factorial(sum(shape)) // hooks
+
+
+def _end_orders(m: int, k: int) -> int:
+    """Orders of m open-arc ends that hold no k mutually crossing arcs.
+
+    These are the permutations of m whose longest increasing run is
+    below k; by RSK, the sum of (tableaux of shape)^2 over the shapes of
+    m whose rows are shorter than k.
+    """
+    return sum(_tableaux(s) ** 2 for s in _shapes(m, k - 1))
+
+
+def state_bound(spec: EnumSpec) -> int:
+    """A-priori bound on the states the search of enumerate_count visits.
+
+    A state at vertex v holds m open arcs, m <= min(v - 1, n - v): a set
+    of m ends past v, in one of _end_orders(m, k) orders.  The root
+    counts even when no arc can start, so a budget of 0 refuses every
+    search.  Stops summing once the budget is passed, so an oversized
+    request is refused at once.
+    """
+    n, k = spec.n, spec.max_crossing
+    orders: list[int] = []
+    bound = 1
+    for v in range(2, n - spec.min_arc_length + 1):
+        for m in range(min(v - 1, n - v) + 1):
+            if m == len(orders):
+                orders.append(_end_orders(m, k))
+            bound += comb(n - v, m) * orders[m]
+        if bound > spec.budget:
+            break
+    return bound
+
+
+def _search(spec: EnumSpec, branch_rng=None) -> tuple[int, int, int]:
+    """Forward pass over the states (v, open-arc ends in start order).
+
+    Returns (packed, width, states): packed holds, in slot a of width
+    bits, the number of diagrams with a arcs; states counts the states
+    expanded.
+    """
+    n, k, min_len = spec.n, spec.max_crossing, spec.min_arc_length
+    last = n - min_len  # no arc starts past this vertex
+    if last < 1:  # no arc fits: the empty diagram alone
+        return 1, 1, 0
+    # every diagram is one choice per vertex v <= last: isolated, an end,
+    # or one of last - v + 1 partners; so no slot ever exceeds (last + 1)!
+    width = factorial(last + 1).bit_length()
+    # levels[v]: open-arc ends -> packed counts by arcs so far, for the
+    # states whose first undecided vertex is v
+    levels = [{} for _ in range(last + 1)]
+    levels[1][()] = 1
+    done = 0  # packed counts of the diagrams past last, whose rest is isolated
+    states = 0
+    for v in range(1, last + 1):
+        level, levels[v] = levels[v], None
+        states += len(level)
+        for ends, packed in level.items():
+            top = n + 1  # first partner that would close a k-crossing
+            if len(ends) >= k - 1:
+                tails: list[int] = []  # tails[r]: least end closing an increasing run of r + 1
+                for b in ends:
+                    r = bisect_left(tails, b)
+                    if r == len(tails):
+                        tails.append(b)
+                    else:
+                        tails[r] = b
+                if len(tails) >= k - 1:
+                    top = tails[k - 2]
+            partners = [j for j in range(v + min_len, top) if j not in ends]
+            if branch_rng is not None and len(partners) > 1:  # shorter lists draw nothing
+                branch_rng.shuffle(partners)
+            shifted = packed << width
+            # the next undecided vertex skips the ends at v + 1, v + 2, ...
+            u = v + 1
+            while u in ends:
+                u += 1
+            if u > last:  # every move ends the search
+                done += packed + shifted * len(partners)
+                continue
+            rest = ends if u == v + 1 else tuple(b for b in ends if b > u)
+            level_u = levels[u]
+            level_u[rest] = level_u.get(rest, 0) + packed
+            for j in partners:
+                if j != u:
+                    key, target = (*rest, j), level_u
+                else:  # the arc (v, j) closes at the next undecided vertex too
+                    w = u + 1
+                    while w in rest:
+                        w += 1
+                    if w > last:
+                        done += shifted
+                        continue
+                    key, target = tuple(b for b in rest if b > w), levels[w]
+                target[key] = target.get(key, 0) + shifted
+    return done, width, states
 
 
 def enumerate_count(spec: EnumSpec, branch_rng=None):
@@ -113,44 +233,23 @@ def enumerate_count(spec: EnumSpec, branch_rng=None):
 
     Returns an int, or a histogram {isolated vertices -> count} if
     spec.by_isolated.  branch_rng, a random.Random when given, shuffles
-    the order in which partners are tried; the result must not depend
-    on it.
+    each state's partner list; the result must not depend on it.
     """
-    estimate = _involutions(spec.n)
-    if estimate > spec.budget:
+    bound = state_bound(spec)
+    if bound > spec.budget:
         raise BudgetExceededError(
-            f"estimated search size {estimate} exceeds budget {spec.budget} for n={spec.n}"
+            f"search state bound exceeds budget {spec.budget} for n={spec.n}"
+            f" (at least {bound} states)"
         )
-
-    n, k, min_len = spec.n, spec.max_crossing, spec.min_arc_length
+    packed, width, _ = _search(spec, branch_rng)
+    mask = (1 << width) - 1
     hist: dict[int, int] = {}
-    used = [False] * (n + 2)
-    chosen: list[tuple[int, int]] = []
-
-    last_start = n - min_len  # no arc starts past this vertex
-
-    def backtrack(v: int) -> None:
-        while v <= n and used[v]:
-            v += 1
-        if v > last_start:  # every vertex left stays isolated: one diagram
-            ell = n - 2 * len(chosen)
-            hist[ell] = hist.get(ell, 0) + 1
-            return
-        backtrack(v + 1)  # leave v isolated
-        partners = [j for j in range(v + min_len, n + 1) if not used[j]]
-        if branch_rng is not None and len(partners) > 1:  # shorter lists draw nothing
-            branch_rng.shuffle(partners)
-        for j in partners:
-            arc = (v, j)
-            if _completes_crossing_set(chosen, arc, k):
-                continue
-            used[j] = True
-            chosen.append(arc)
-            backtrack(v + 1)
-            chosen.pop()
-            used[j] = False
-
-    backtrack(1)
+    arcs = 0
+    while packed:
+        if packed & mask:
+            hist[spec.n - 2 * arcs] = packed & mask
+        packed >>= width
+        arcs += 1
     if spec.by_isolated:
         return hist
     return sum(hist.values())

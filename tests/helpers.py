@@ -1,6 +1,7 @@
 """Shared test utilities: an independent polynomial root oracle,
-coefficient-loop oracles for series products and reciprocals,
-significant-figure comparison and the environment for child processes."""
+coefficient-loop oracles for series products and reciprocals, every
+partial matching on n vertices, significant-figure comparison and the
+environment for child processes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 
 import crossing_count
+from crossing_count.oracle import Diagram
 from crossing_count.powerseries import TruncatedSeries
 
 
@@ -108,6 +110,23 @@ def schoolbook_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
                 acc += c[i] * out[n - i]
         out[n] = -acc * inv0
     return TruncatedSeries(out, a.order)
+
+
+def partial_matchings(n: int):
+    """Every partial matching on vertices 1..n, as Diagrams, unfiltered."""
+
+    def matchings(free: tuple[int, ...]):
+        if not free:
+            yield ()
+            return
+        v, rest = free[0], free[1:]
+        yield from matchings(rest)  # v isolated
+        for i, j in enumerate(rest):
+            for arcs in matchings(rest[:i] + rest[i + 1 :]):
+                yield ((v, j), *arcs)
+
+    for arcs in matchings(tuple(range(1, n + 1))):
+        yield Diagram(n, frozenset(arcs))
 
 
 def matches_sig_figs(computed: float, printed: float, figures: int) -> bool:

@@ -47,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
     start = time.time()
     failures = []
     for k in (3, 4):
-        for n in range(13):
+        for n in range(15):
             hist = enumerate_count(
                 EnumSpec(n=n, max_crossing=k, min_arc_length=3, by_isolated=True)
             )
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
     elapsed = time.time() - start
     if elapsed > 120:
         failures.append(f"runtime {elapsed:.1f}s exceeds 2 minutes")
-    _record(1, "oracle equivalence, k in {3,4}, n <= 12, with histograms", failures, elapsed)
+    _record(1, "oracle equivalence, k in {3,4}, n <= 14, with histograms", failures, elapsed)
 
 
 def test_criterion_2_closed_form():

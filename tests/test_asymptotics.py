@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import match_roots, newton_deflation_roots
 from crossing_count import asymptotics as asy
+from crossing_count import counting
 from crossing_count.asymptotics import QuarticProblem
 
 
@@ -157,6 +158,16 @@ def test_estimate_rk_rejects_bad_arguments():
         asy.estimate_rk(3, 9)
     with pytest.raises(ValueError):
         asy.estimate_rk(2, 40)
+
+
+def test_estimate_rk_refuses_before_the_walk_table_grows(monkeypatch):
+    # k = 8 has no recurrence: reading f_8(2m, 0) in ascending m used to
+    # walk to max_n = 37 (about 1 s) before the refusal
+    fk_tables = {k: table for k, table in counting._fk_tables.items() if k != 8}
+    monkeypatch.setattr(counting, "_fk_tables", fk_tables)
+    with pytest.raises(counting.BudgetExceededError):
+        asy.estimate_rk(8, 400)
+    assert 8 not in fk_tables
 
 
 def test_compute_rho_exact_quarter():

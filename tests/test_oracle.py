@@ -1,10 +1,13 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossing_count import counting
+from helpers import partial_matchings
+from crossing_count import counting, oracle
 from crossing_count.oracle import (
     BudgetExceededError,
     Diagram,
@@ -12,6 +15,7 @@ from crossing_count.oracle import (
     arcs_cross,
     crossing_number,
     enumerate_count,
+    state_bound,
 )
 
 
@@ -51,7 +55,7 @@ def test_records_are_immutable_values():
     assert d == diagram(5, [(2, 5), (1, 4)]) and d != diagram(6, [(1, 4), (2, 5)])
     assert len({d, diagram(5, [(2, 5), (1, 4)])}) == 1
     spec = EnumSpec(n=4, max_crossing=3)
-    assert (spec.min_arc_length, spec.by_isolated, spec.budget) == (1, False, 10**8)
+    assert (spec.min_arc_length, spec.by_isolated, spec.budget) == (1, False, oracle.DEFAULT_BUDGET)
     for record, field in ((d, "n"), (spec, "budget")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
@@ -87,8 +91,46 @@ def test_budget_refusal_is_deterministic():
 
 
 def test_default_budget_refuses_large_n():
+    accepted, refused = (EnumSpec(n=n, max_crossing=3, min_arc_length=3) for n in (18, 19))
+    assert state_bound(accepted) <= oracle.DEFAULT_BUDGET < state_bound(refused)
     with pytest.raises(BudgetExceededError):
-        enumerate_count(EnumSpec(n=17, max_crossing=3, min_arc_length=3))
+        enumerate_count(refused)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_budget_zero_refuses_even_a_search_with_no_arc(n):
+    with pytest.raises(BudgetExceededError):
+        enumerate_count(EnumSpec(n=n, max_crossing=3, min_arc_length=3, budget=0))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("min_len", [1, 3])
+def test_state_bound_covers_the_search(k, min_len):
+    for n in range(15):
+        spec = EnumSpec(n=n, max_crossing=k, min_arc_length=min_len, budget=10**9)
+        _, _, states = oracle._search(spec)
+        assert states <= state_bound(spec)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_matches_the_definition(n):
+    # every partial matching, kept iff its arcs are long enough and it has
+    # no k mutually crossing arcs: the definition, with no search at all
+    diagrams = [
+        (len(d.arcs), crossing_number(d), min((j - i for i, j in d.arcs), default=math.inf))
+        for d in partial_matchings(n)
+    ]
+    for k in range(2, 6):
+        for min_len in range(1, 5):
+            expected = Counter(
+                n - 2 * arcs
+                for arcs, crossing, shortest in diagrams
+                if crossing < k and shortest >= min_len
+            )
+            spec = EnumSpec(n=n, max_crossing=k, min_arc_length=min_len, by_isolated=True)
+            assert enumerate_count(spec) == dict(expected)
+            shuffled = enumerate_count(spec, branch_rng=random.Random(100 * n + 10 * k + min_len))
+            assert shuffled == dict(expected)
 
 
 @st.composite
