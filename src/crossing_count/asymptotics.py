@@ -17,7 +17,10 @@ Quartics are solved in closed form (depressed quartic plus resolvent
 cubic) with complex arithmetic throughout, then every root is polished
 by Newton iteration on the original polynomial; double precision plus
 that refinement is enough for all the constants handled here, whose
-reference values carry at most 1e-5 accuracy.
+reference values carry at most 1e-5 accuracy.  rho_k itself is then
+rounded to the nearest float: one Newton step in exact Fractions, with
+the rounding certified by a sign change of the quartic across the
+half-ulp neighbours.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -238,12 +241,35 @@ def _clearing_coefficients(r) -> tuple[float, float, float, float, float]:
     return (float(r), float(-(1 + r)), float(-r), float(1 + r), float(-r))
 
 
+def _correctly_rounded_root(z: float, r: Fraction) -> float:
+    """The float nearest the root of the cleared quartic next to z.
+
+    One Newton step in exact Fractions from the float root z, rounded
+    once, then certified: the quartic must change sign between the two
+    points half an ulp below and above the result, or ArithmeticError.
+    """
+
+    def cleared(x: Fraction) -> Fraction:
+        return (x - x**3) - r * (1 - x + x * x + x**3 - x**4)
+
+    x = Fraction(z)
+    slope = (1 - 3 * x * x) - r * (-1 + 2 * x + 3 * x * x - 4 * x**3)
+    rounded = float(x - cleared(x) / slope)
+    mid = Fraction(rounded)
+    below = (mid + Fraction(math.nextafter(rounded, -math.inf))) / 2
+    above = (mid + Fraction(math.nextafter(rounded, math.inf))) / 2
+    if cleared(below) * cleared(above) >= 0:
+        raise ArithmeticError(f"root near {z} not certified to the nearest float")
+    return rounded
+
+
 def compute_rho(k: int, r_k) -> GrowthReport:
     """Smallest positive real solution of theta(z) = r_k.
 
     The cleared quartic (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 is
     solved in closed form, whose roots come Newton-polished; rho is the
-    smallest real one in (0, 0.7).
+    smallest real one in (0, 0.7), rounded to the nearest float with
+    exact arithmetic on r_k (a Fraction, or a float taken exactly).
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
@@ -254,7 +280,7 @@ def compute_rho(k: int, r_k) -> GrowthReport:
     real_candidates = [z.real for z in roots if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
     if not real_candidates:
         raise ValueError(f"no real root in (0, 0.7) for radius {rf}")
-    rho = min(real_candidates)
+    rho = _correctly_rounded_root(min(real_candidates), Fraction(r_k))
     return GrowthReport(k, rf, rho, 1 / rho, abs(theta(rho) - rf), tuple(roots))
 
 

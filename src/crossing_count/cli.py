@@ -479,7 +479,3 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-
-
-if __name__ == "__main__":
-    sys.exit(main())

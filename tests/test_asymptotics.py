@@ -212,6 +212,35 @@ def test_compute_rho_matches_bisection_oracle(k):
     assert abs(report.rho - (lo + hi) / 2) <= 1e-9
 
 
+@pytest.mark.parametrize("k", range(3, 13))
+def test_compute_rho_is_the_correctly_rounded_root(k):
+    # exact bisection of the cleared quartic, until both ends of the
+    # interval round to the same float
+    r = asy.radius(k)
+
+    def cleared(z):
+        return (z - z**3) - r * (1 - z + z * z + z**3 - z**4)
+
+    step = Fraction(1, 64)
+    lo = Fraction(0)
+    while cleared(lo + step) < 0:
+        lo += step
+    hi = lo + step
+    while float(lo) != float(hi):
+        mid = (lo + hi) / 2
+        if cleared(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    assert asy.compute_rho(k, r).rho == float(lo)
+
+
+def test_uncertified_rounding_raises():
+    # one Newton step from 0.2 does not land within half an ulp of rho_3
+    with pytest.raises(ArithmeticError):
+        asy._correctly_rounded_root(0.2, Fraction(1, 4))
+
+
 def test_compute_rho_rejects_out_of_range():
     with pytest.raises(ValueError):
         asy.compute_rho(3, 0.0)

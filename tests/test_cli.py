@@ -289,13 +289,3 @@ def test_roots_csv(capsys):
     assert lines[0] == "re,im,residual"
     assert len(lines) == 5
 
-
-def test_console_script_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossing_count", "count", "--k", "3", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=package_env(),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "2"

@@ -1,0 +1,72 @@
+"""The process entry point, crossing_count.__main__.run.
+
+run() freezes the heap once cli.main is done, so interpreter teardown
+skips its collections; cli.main itself must never freeze, and the rest
+of finalization (atexit handlers, exit codes) must still happen.
+"""
+
+import gc
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import package_env
+from crossing_count import __main__ as entry
+from crossing_count import cli
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=package_env(), timeout=60
+    )
+
+
+def test_main_never_freezes(capsys):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["count", "--k", "3", "--n", "4"]) == 0
+    assert cli.main(["count", "--k", "2", "--n", "5"]) == 2
+    assert cli.main(["oracle", "--n", "30", "--k", "3", "--budget", "1000"]) == 3
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--k", "three"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_atexit_handlers_run_after_the_frozen_exit():
+    # a handler registered before the entry point still runs at exit, and
+    # sees the heap frozen: the process ends by finalization, not os._exit
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('atexit frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['crossing_count', 'count', '--k', '3', '--n', '4']\n"
+        "runpy.run_module('crossing_count', run_name='__main__')\n"
+    )
+    proc = _child("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "2\natexit frozen True\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        ("count --k 3 --n 4", 0, "2\n"),
+        ("count --k three --n 5", 2, ""),  # argparse's rejection
+        ("count --k 2 --n 5", 2, ""),  # the library's ValueError
+        ("oracle --n 30 --k 3 --budget 1000", 3, ""),
+    ],
+    ids=["ok", "argparse", "value-error", "budget"],
+)
+def test_module_entry_stdout_and_exit_code(argv, code, stdout):
+    proc = _child("-m", "crossing_count", *argv.split())
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+
+
+def test_console_script_is_the_module_entry():
+    # tomllib is 3.11+, and requires-python is 3.10
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, attr = re.search(r'^crossing-count = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    assert sys.modules[module] is entry
+    assert getattr(entry, attr) is entry.run
