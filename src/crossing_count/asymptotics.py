@@ -17,10 +17,13 @@ Quartics are solved in closed form (depressed quartic plus resolvent
 cubic) with complex arithmetic throughout, then every root is polished
 by Newton iteration on the original polynomial; double precision plus
 that refinement is enough for all the constants handled here, whose
-reference values carry at most 1e-5 accuracy.  rho_k itself is then
-rounded to the nearest float: one Newton step in exact Fractions, with
-the rounding certified by a sign change of the quartic across the
-half-ulp neighbours.
+reference values carry at most 1e-5 accuracy.  rho_k and 1/rho_k are
+then each rounded to the nearest float: one Newton step on plain
+integers from the float root (a float and r_k are both exact integer
+ratios), rounded once by int / int true division, and certified by a
+sign change of the quartic, evaluated on integers, across the half-ulp
+neighbours of the printed value (for 1/rho_k, at their reciprocals).
+So no command that reports a growth constant imports fractions.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -32,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
 KPRIME = 6.11170
@@ -195,19 +197,12 @@ def _u_prime(z: float) -> float:
     return -1 + 2 * z + 3 * z * z - 4 * z**3
 
 
-def radius(k: int) -> Fraction:
-    """Exact radius r_k = 1/(2(k-1)) of sum f_k(2n,0) z^(2n)."""
-    if k < 2:
-        raise ValueError(f"crossing bound k must be >= 2, got {k}")
-    return Fraction(1, 2 * (k - 1))
-
-
 def estimate_rk(k: int, n_max: int) -> float:
     """Radius of sum f_k(2n,0) z^(2n) from ratios of exact counts.
 
     The raw estimates sqrt(f_k(2m-2,0) / f_k(2m,0)) converge like
     r_k (1 + a/m), so iterated Richardson extrapolation in 1/m is
-    applied to the tail.  The exact value is radius(k); this estimate
+    applied to the tail.  The exact value is 1/(2(k-1)); this estimate
     only serves to check it.
     """
     if k < 3:
@@ -236,64 +231,97 @@ class GrowthReport(namedtuple("GrowthReport", "k radius rho growth_rate residual
     __slots__ = ()
 
 
-def _clearing_coefficients(r) -> tuple[float, float, float, float, float]:
-    # (z - z^3) - r*(1 - z + z^2 + z^3 - z^4), highest degree first
-    return (float(r), float(-(1 + r)), float(-r), float(1 + r), float(-r))
+def _clearing_coefficients(num: int, den: int) -> tuple[float, float, float, float, float]:
+    # (z - z^3) - r*(1 - z + z^2 + z^3 - z^4) for r = num/den, highest degree
+    # first, each coefficient rounded once
+    return (num / den, -(den + num) / den, -num / den, (den + num) / den, -num / den)
 
 
-def _correctly_rounded_root(z: float, r: Fraction) -> float:
-    """The float nearest the root of the cleared quartic next to z.
+def _cleared(p: int, q: int, num: int, den: int) -> int:
+    """den q^4 times the cleared quartic at p/q for r = num/den: with
+    q, den > 0, an integer of the quartic's sign there."""
+    p2, q2 = p * p, q * q
+    return den * (p * q * q2 - p * p2 * q) - num * (q2 * q2 - p * q * q2 + p2 * q2 + p * p2 * q - p2 * p2)
 
-    One Newton step in exact Fractions from the float root z, rounded
-    once, then certified: the quartic must change sign between the two
-    points half an ulp below and above the result, or ArithmeticError.
+
+def _half_ulp_neighbours(x: float) -> list[tuple[int, int]]:
+    """The points half an ulp below and above x, as (numerator, denominator)."""
+    a, b = x.as_integer_ratio()
+    out = []
+    for toward in (-math.inf, math.inf):
+        c, d = math.nextafter(x, toward).as_integer_ratio()
+        out.append((a * d + c * b, 2 * b * d))
+    return out
+
+
+def _correctly_rounded_root(z: float, num: int, den: int) -> tuple[float, float]:
+    """The floats nearest the root of the cleared quartic next to z and
+    nearest its reciprocal, for r = num/den with den > 0.
+
+    One Newton step on integers from the float root z = p/q gives the
+    exact ratio x = (p S - C) / (q S), with C and S the quartic and its
+    slope at z times den q^4 and den q^3; int / int true division rounds
+    x and 1/x once each.  Both are then certified: the quartic must
+    change sign between the half-ulp neighbours of the rounded root, and
+    between the reciprocals of those of the rounded reciprocal, else
+    ArithmeticError.
     """
+    p, q = z.as_integer_ratio()
+    p2, q2 = p * p, q * q
+    slope = den * (q * q2 - 3 * p2 * q) - num * (-q * q2 + 2 * p * q2 + 3 * p2 * q - 4 * p * p2)
+    top, bottom = p * slope - _cleared(p, q, num, den), q * slope
+    root, reciprocal = top / bottom, bottom / top
 
-    def cleared(x: Fraction) -> Fraction:
-        return (x - x**3) - r * (1 - x + x * x + x**3 - x**4)
+    def brackets(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+        return _cleared(*lo, num, den) * _cleared(*hi, num, den) < 0
 
-    x = Fraction(z)
-    slope = (1 - 3 * x * x) - r * (-1 + 2 * x + 3 * x * x - 4 * x**3)
-    rounded = float(x - cleared(x) / slope)
-    mid = Fraction(rounded)
-    below = (mid + Fraction(math.nextafter(rounded, -math.inf))) / 2
-    above = (mid + Fraction(math.nextafter(rounded, math.inf))) / 2
-    if cleared(below) * cleared(above) >= 0:
+    (e, f), (g, h) = _half_ulp_neighbours(reciprocal)
+    if not (brackets(*_half_ulp_neighbours(root)) and brackets((f, e), (h, g))):
         raise ArithmeticError(f"root near {z} not certified to the nearest float")
-    return rounded
+    return root, reciprocal
 
 
-def compute_rho(k: int, r_k) -> GrowthReport:
-    """Smallest positive real solution of theta(z) = r_k.
+def _dominant_index(roots: list[complex]) -> int:
+    """Index of the smallest real root in (0, 0.7), taking |imag| <= 1e-8 as real."""
+    real = [i for i, z in enumerate(roots) if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
+    if not real:
+        raise ValueError("no real root in (0, 0.7)")
+    return min(real, key=lambda i: roots[i].real)
+
+
+def compute_rho(k: int) -> GrowthReport:
+    """Smallest positive real solution of theta(z) = r_k, r_k = 1/(2(k-1)).
 
     The cleared quartic (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 is
     solved in closed form, whose roots come Newton-polished; rho is the
-    smallest real one in (0, 0.7), rounded to the nearest float with
-    exact arithmetic on r_k (a Fraction, or a float taken exactly).
+    smallest real one in (0, 0.7), and rho and the growth rate 1/rho are
+    each rounded to the nearest float with integer arithmetic on r_k as
+    the pair 1, 2(k-1).
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
-    rf = float(r_k)
-    if not 0 < rf <= 0.5:
-        raise ValueError(f"radius must lie in (0, 1/2], got {rf}")
-    roots = solve_quartic(QuarticProblem(*_clearing_coefficients(r_k)))
-    real_candidates = [z.real for z in roots if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
-    if not real_candidates:
-        raise ValueError(f"no real root in (0, 0.7) for radius {rf}")
-    rho = _correctly_rounded_root(min(real_candidates), Fraction(r_k))
-    return GrowthReport(k, rf, rho, 1 / rho, abs(theta(rho) - rf), tuple(roots))
+    num, den = 1, 2 * (k - 1)
+    roots = solve_quartic(QuarticProblem(*_clearing_coefficients(num, den)))
+    rho, growth_rate = _correctly_rounded_root(roots[_dominant_index(roots)].real, num, den)
+    r_k = num / den
+    return GrowthReport(k, r_k, rho, growth_rate, abs(theta(rho) - r_k), tuple(roots))
 
 
-def singularities_for_radius(r) -> list[complex]:
+def singularities_for_radius(r: float, rho: float) -> list[complex]:
     """All eight roots of (z - z^3) = +-r (1 - z + z^2 + z^3 - z^4).
 
     These are the singularities the radius map induces from the pair of
     dominant singularities +-r; for r = 1/4 they are the roots of
-    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.
+    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  r is taken
+    exactly through as_integer_ratio().  rho, the certified root from
+    compute_rho for this r, replaces the closed-form root it rounds, so
+    the list holds rho_k with the same bytes and imaginary part 0.
     """
+    num, den = r.as_integer_ratio()
     out: list[complex] = []
-    for signed in (r, -r):
-        out.extend(solve_quartic(QuarticProblem(*_clearing_coefficients(signed))))
+    for signed in (num, -num):
+        out.extend(solve_quartic(QuarticProblem(*_clearing_coefficients(signed, den))))
+    out[_dominant_index(out[:4])] = complex(rho, 0.0)
     return out
 
 
@@ -321,7 +349,7 @@ def kprime(n: int) -> float:
     from . import structures
 
     ff = _falling_factorial(n)
-    rho = compute_rho(3, radius(3)).rho
+    rho = compute_rho(3).rho
     return math.exp(
         math.log(structures.s_k3(3, n)) + n * math.log(rho) + math.log(ff) - math.log(24)
     )
@@ -363,7 +391,7 @@ class SingularConstants(
 
 def singular_constants_check() -> SingularConstants:
     """u(rho_3), u'(rho_3) and g'(rho_3) for g(z) = (z - z^3)/u(z)."""
-    rho = compute_rho(3, radius(3)).rho
+    rho = compute_rho(3).rho
     uv = _u(rho)
     du = _u_prime(rho)
     dg = ((1 - 3 * rho * rho) * uv - (rho - rho**3) * du) / (uv * uv)

@@ -9,7 +9,10 @@ JSON; exact counts are always serialized as decimal strings, never as
 floating point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-refusal.  Ranges are checked where the library takes its arguments; the
+refusal, and 141 (128 + SIGPIPE) from the process entry point,
+crossing_count.__main__.run, when the reader closed stdout early
+(after --help too).
+Ranges are checked where the library takes its arguments; the
 ValueError it raises is reported as a usage error.  A persistent count
 cache of structure counts (CSV: kind,k,n,ell,value, kind always S) can be
 given via --cache or the CROSSING_COUNT_CACHE environment variable; it
@@ -29,6 +32,8 @@ import math
 import os
 import sys
 
+from . import BudgetExceededError
+
 CACHE_ENV_VAR = "CROSSING_COUNT_CACHE"
 CACHE_HEADER = ["kind", "k", "n", "ell", "value"]
 CACHE_KIND = "S"
@@ -37,6 +42,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class CountCache:
@@ -132,7 +138,7 @@ def _base(args) -> float:
     if not (math.isfinite(base) and base > 0):
         raise ValueError(f"--base must be finite and positive, got {base}")
     if args.computed_base:
-        return asymptotics.compute_rho(3, asymptotics.radius(3)).growth_rate
+        return asymptotics.compute_rho(3).growth_rate
     return base
 
 
@@ -207,8 +213,8 @@ def cmd_table(args) -> int:
 def cmd_growth(args) -> int:
     from . import asymptotics
 
-    report = asymptotics.compute_rho(args.k, asymptotics.radius(args.k))
-    sing = asymptotics.singularities_for_radius(report.radius)
+    report = asymptotics.compute_rho(args.k)
+    sing = asymptotics.singularities_for_radius(report.radius, report.rho)
     payload = {
         "k": args.k,
         "r_k": report.radius,
@@ -472,10 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:
-        from . import counting  # loaded already if it raised the refusal
-
-        if not isinstance(exc, counting.BudgetExceededError):
-            raise
+    except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

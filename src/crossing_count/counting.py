@@ -36,17 +36,14 @@ from __future__ import annotations
 import math
 import threading
 
+from . import BudgetExceededError  # re-exported: callers catch counting.BudgetExceededError
+
 # f_k(2m, 0) for a k with no recurrence is refused, before any walk step, if
 # W_m would keep more shapes than this: k = 7 from n = 84, k = 8 from n = 76.
 MAX_FRONTIER_SHAPES = 20_000
 
 # coefficients[i][j] is the n^j coefficient of p_i; initial terms a(0), ...
 Recurrence = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
-
-
-class BudgetExceededError(Exception):
-    """Raised when a request would pass a deterministic size bound: the walk
-    frontier, the lam row, the series order or the oracle's search size."""
 
 
 def catalan(m: int) -> int:

@@ -36,7 +36,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb, factorial
 
-from .counting import BudgetExceededError  # re-exported: the oracle raises it too
+from . import BudgetExceededError  # re-exported: the oracle raises it too
 
 # states, not diagrams: admits oracle --n 18 --k 3 (bound 297 820, 1.8 s on a
 # 2-vCPU VM) and --n 17 --k 4 (441 120, 3.3 s); refuses --n 19 --k 3

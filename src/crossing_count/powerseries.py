@@ -8,31 +8,38 @@ constant term 1 or -1; any other reciprocal gives Fractions.  Every
 product of two series is one big-integer product (Kronecker
 substitution, after clearing a common denominator), and a reciprocal is
 a few such products by Newton's iteration, so no product or reciprocal
-loops over pairs of coefficients in Python.  The verify_* functions
-rebuild both sides of the generating-function identities that tie the
-structure counts to the matching counts and report the first
-coefficient where the two sides disagree, if any.  All
-of them but the Bessel check run on plain integers: only that
-determinant of exponential generating functions is rational.
+loops over pairs of coefficients in Python.  Composition is
+Paterson-Stockmeyer: about 2 sqrt(N) products, where Horner's rule
+takes N.  A HurwitzSeries stores an exponential generating function by
+its integer coefficients n! [x^n]; its products are binomial
+convolutions, done as one Kronecker product with factorial weights and
+an exact division.
+
+The verify_* functions rebuild both sides of the generating-function
+identities that tie the structure counts to the matching counts and
+report the first coefficient where the two sides disagree, if any.  All
+of them run on plain integers: the Bessel determinant in the Hurwitz
+ring, where its matrix is the identity at x = 0, so every pivot is a
+unit and the elimination stays integral.  fractions and numbers are
+imported only when a caller passes a coefficient that is not an int.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
-from fractions import Fraction
+from functools import lru_cache
 
-from . import counting, structures
+from . import BudgetExceededError, counting, structures
 
 # Every verify_* refuses an order past this before any table grows (see
-# _sequence): Horner composition takes order/2 products whose coefficients
-# grow with the order, and `verify --which all` takes about 0.7 s at k = 3
-# and 1.6 s at k = 6 at this one.
+# _sequence): the series coefficients grow with the order, and
+# `verify --which all` takes about 0.5 s at k = 3 and 1.2 s at k = 6 at
+# this one.
 MAX_ORDER = 200
 # verify_bessel_egf refuses a k past this before any count is read: its
 # (k-1) x (k-1) elimination grows like k^3.  At k = 12 the largest order the
-# walk frontier accepts, 65, takes about 0.7 s in the determinant.
+# walk frontier accepts, 65, takes about 0.2 s in the determinant.
 MAX_BESSEL_K = 12
 
 
@@ -64,6 +71,18 @@ def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
     b = a if square else _without_trailing_zeros(b[:length])
     if not a or not b:
         return [0] * length
+    # two vectors whose nonzero terms each keep to one parity multiply as
+    # polynomials in x^2: half the digits, about a third of the work
+    parities = _parity(a), _parity(b)
+    if None not in parities and max(len(a), len(b)) > 1:
+        low = sum(parities)
+        out = [0] * length
+        if low < length:
+            half = a[parities[0] :: 2]
+            out[low::2] = _kronecker_product(
+                half, half if square else b[parities[1] :: 2], (length - low + 1) // 2
+            )
+        return out
     terms = min(len(a), len(b))
     bits = max(map(int.bit_length, a)) + max(map(int.bit_length, b)) + terms.bit_length() + 1
     size = (bits + 7) // 8  # bytes per digit
@@ -84,11 +103,27 @@ def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
     return out + [0] * (length - count)
 
 
+def _parity(v: list[int]) -> int | None:
+    """0 or 1 if every nonzero term of v has an index of that parity, else None."""
+    if not any(v[1::2]):
+        return 0
+    if not any(v[::2]):
+        return 1
+    return None
+
+
 def _without_trailing_zeros(v: list) -> list:
     end = len(v)
     while end and not v[end - 1]:
         end -= 1
     return v[:end]
+
+
+def _require_rational(c) -> None:
+    import numbers
+
+    if not isinstance(c, numbers.Rational):
+        raise TypeError(f"series coefficients must be exact rationals, got {c!r}")
 
 
 class TruncatedSeries:
@@ -103,8 +138,8 @@ class TruncatedSeries:
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
         for c in coeffs:
-            if type(c) is not int and not isinstance(c, numbers.Rational):
-                raise TypeError(f"series coefficients must be exact rationals, got {c!r}")
+            if type(c) is not int:
+                _require_rational(c)
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -128,7 +163,7 @@ class TruncatedSeries:
     def x(cls, order: int) -> "TruncatedSeries":
         return cls([0, 1], order)
 
-    def __getitem__(self, n: int) -> numbers.Rational:
+    def __getitem__(self, n: int):
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
@@ -164,6 +199,8 @@ class TruncatedSeries:
         product = _kronecker_product(a, b, self.order + 1)
         if a_den is None and b_den is None:
             return TruncatedSeries(product, self.order)
+        from fractions import Fraction
+
         den = (a_den or 1) * (b_den or 1)
         return TruncatedSeries([Fraction(p, den) for p in product], self.order)
 
@@ -179,7 +216,12 @@ class TruncatedSeries:
         a = self.coeffs
         if not a[0]:
             raise ValueError("reciprocal needs a nonzero constant term")
-        r = [a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])]
+        if a[0] in (1, -1):
+            r = [a[0]]
+        else:
+            from fractions import Fraction
+
+            r = [1 / Fraction(a[0])]
         while len(r) <= self.order:
             done = len(r)
             step = min(done, self.order + 1 - done)
@@ -193,7 +235,11 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner); inner must have zero constant term.
 
-        Horner's rule from the highest nonzero coefficient of self.
+        Paterson-Stockmeyer: with top the degree of self and m about
+        sqrt(top), the powers inner^0 .. inner^m are made once.  self splits
+        into blocks of m coefficients, each block a scalar combination of
+        those powers, and Horner's rule in inner^m joins the blocks: about
+        2 sqrt(top) products, where Horner's rule in inner takes top.
         """
         self._check_order(inner)
         if inner.coeffs[0]:
@@ -201,10 +247,24 @@ class TruncatedSeries:
         top = self.order
         while top and not self.coeffs[top]:
             top -= 1
-        result = TruncatedSeries([self.coeffs[top]], self.order)
-        for i in range(top - 1, -1, -1):
-            result = result * inner
-            result.coeffs[0] += self.coeffs[i]
+        m = math.isqrt(top) + 1
+        powers = [TruncatedSeries.one(self.order), inner][:m]
+        while len(powers) < m:
+            powers.append(powers[-1] * inner)
+
+        def block(start: int) -> TruncatedSeries:
+            acc = [0] * (self.order + 1)
+            for c, power in zip(self.coeffs[start : start + m], powers):
+                if c:
+                    acc = [a + c * p for a, p in zip(acc, power.coeffs)]
+            return TruncatedSeries(acc, self.order)
+
+        starts = range(0, top + 1, m)
+        result = block(starts[-1])
+        if len(starts) > 1:
+            giant = powers[-1] * inner
+            for start in reversed(starts[:-1]):
+                result = result * giant + block(start)
         return result
 
     def pow(self, exponent: int) -> "TruncatedSeries":
@@ -222,38 +282,114 @@ class TruncatedSeries:
         return result
 
 
-def exponential(order: int) -> TruncatedSeries:
-    """sum x^n / n! truncated at order."""
-    return TruncatedSeries(
-        [Fraction(1, math.factorial(n)) for n in range(order + 1)], order
-    )
+@lru_cache(maxsize=64)
+def _factorial_weights(top: int) -> tuple[int, ...]:
+    """top! / i! for i = 0..top."""
+    weights = [1] * (top + 1)
+    for i in range(top, 0, -1):
+        weights[i - 1] = weights[i] * i
+    return tuple(weights)
 
 
-def bessel_i(r: int, order: int) -> TruncatedSeries:
-    """Modified Bessel function of the first kind, I_r(2x), as a series.
+def _binomial_convolution(a: list[int], b: list[int], length: int, shift: int = 0) -> list[int]:
+    """Hurwitz coefficients shift .. shift+length-1 of a * b, where a[i] is
+    the coefficient at i and b[j] the one at shift + j.
 
-    I_r(2x) = sum_j x^(2j+r) / (j! (r+j)!); negative orders coincide with
-    positive ones.
+    The wanted n-th coefficient is n! sum a[i] b[j] / (i! (shift+j)!) over
+    i + j = n - shift.  Weighted by top!/i! and top!/(shift+j)!, with top
+    = shift + length - 1, a and b become integer vectors whose Kronecker
+    product is top!^2 / n! times it, so one exact division recovers it.
     """
-    r = abs(r)
-    coeffs = [0] * (order + 1)
-    for j in range((order - r) // 2 + 1):
-        e = 2 * j + r
-        if e <= order:
-            coeffs[e] = Fraction(1, math.factorial(j) * math.factorial(r + j))
-    return TruncatedSeries(coeffs, order)
+    weights = _factorial_weights(shift + length - 1)
+    product = _kronecker_product(
+        [c * w for c, w in zip(a[:length], weights)],
+        [c * w for c, w in zip(b[:length], weights[shift:])],
+        length,
+    )
+    return [c // (weights[0] * w) for c, w in zip(product, weights[shift:])]
 
 
-def determinant(matrix: list[list[TruncatedSeries]]) -> TruncatedSeries:
+class HurwitzSeries:
+    """Integer exponential generating function modulo x^(order+1), stored
+    as its coefficients n! [x^n].
+
+    Such series form a ring under the binomial convolution
+    (a b)[n] = sum_i C(n, i) a[i] b[n-i], and one is a unit there iff its
+    constant term is 1 or -1; determinant needs only -, *, reciprocal and
+    one from it, as from a TruncatedSeries.
+    """
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, coeffs: list[int], order: int):
+        self.order = order
+        self.coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
+
+    @classmethod
+    def one(cls, order: int) -> "HurwitzSeries":
+        return cls([1], order)
+
+    def __getitem__(self, n: int) -> int:
+        return self.coeffs[n]
+
+    def __sub__(self, other: "HurwitzSeries") -> "HurwitzSeries":
+        return HurwitzSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
+
+    def __mul__(self, other: "HurwitzSeries") -> "HurwitzSeries":
+        return HurwitzSeries(
+            _binomial_convolution(self.coeffs, other.coeffs, self.order + 1), self.order
+        )
+
+    def reciprocal(self) -> "HurwitzSeries":
+        """Series r with self * r = 1 modulo x^(order+1), by Newton steps.
+
+        As for TruncatedSeries: if self * r - 1 = e vanishes below d, then
+        r - r * e inverts self below 2d, and r * e needs only the first
+        terms of r and those of e from d on.
+        """
+        a = self.coeffs
+        if a[0] not in (1, -1):
+            raise ValueError("Hurwitz reciprocal needs a constant term of 1 or -1")
+        r = [a[0]]
+        while len(r) <= self.order:
+            done = len(r)
+            step = min(done, self.order + 1 - done)
+            e = _binomial_convolution(a, r, done + step)[done:]
+            r += [-c for c in _binomial_convolution(r, e, step, done)]
+        return HurwitzSeries(r, self.order)
+
+
+def bessel_matrix(k: int, order: int) -> list[list[HurwitzSeries]]:
+    """[I_{i-j}(2x) - I_{i+j}(2x)] over i, j = 1..k-1, in the Hurwitz ring.
+
+    I_d(2x) = sum_j x^(2j+d) / (j! (d+j)!), so n! [x^n] I_d(2x) is
+    C(n, (n-d)/2) when n - d is even and nonnegative, and 0 otherwise.
+    """
+    size = k - 1
+    bessel = [
+        [math.comb(n, (n - d) // 2) if n >= d and (n - d) % 2 == 0 else 0 for n in range(order + 1)]
+        for d in range(2 * size + 1)
+    ]
+    return [
+        [
+            HurwitzSeries([p - q for p, q in zip(bessel[abs(i - j)], bessel[i + j])], order)
+            for j in range(1, size + 1)
+        ]
+        for i in range(1, size + 1)
+    ]
+
+
+def determinant(matrix):
     """Determinant of a square series matrix by Gaussian elimination.
 
-    Rows are never exchanged, so every pivot must be invertible, that is,
-    have a nonzero constant term; a zero one raises ValueError.  The
-    Bessel matrix is the identity at x = 0, so each of its pivots starts
-    with 1.
+    The entries are all TruncatedSeries or all HurwitzSeries.  Rows are
+    never exchanged, so every pivot must be invertible, that is, have a
+    nonzero constant term (1 or -1 for a HurwitzSeries); a zero one raises
+    ValueError.  The Bessel matrix is the identity at x = 0, so each of
+    its pivots starts with 1.
     """
     rows = [list(row) for row in matrix]
-    det = TruncatedSeries.one(rows[0][0].order)
+    det = type(rows[0][0]).one(rows[0][0].order)
     for c, pivot_row in enumerate(rows):
         pivot = pivot_row[c]
         if not pivot[0]:
@@ -306,7 +442,7 @@ def _sequence(term, k: int, order: int) -> TruncatedSeries:
     a count past a table's bound is refused before that table grows.
     """
     if order > MAX_ORDER:
-        raise counting.BudgetExceededError(f"series order {order} is past the bound of {MAX_ORDER}")
+        raise BudgetExceededError(f"series order {order} is past the bound of {MAX_ORDER}")
     return TruncatedSeries([term(k, n) for n in range(order, -1, -1)][::-1], order)
 
 
@@ -319,7 +455,7 @@ def _substitution(
     the right side stays in Z[[x]].  Left side from the counts, right side
     rebuilt through series arithmetic only; the two routes are independent.
     F_k(w) is composed as G(w^2), G(y) = sum f_k(2m,0) y^m: the same series,
-    since f_k(n, 0) = 0 at odd n, in half the Horner steps.
+    since f_k(n, 0) = 0 at odd n, from a polynomial of half the degree.
     """
     lhs = _sequence(term, k, order)
     f_k = _sequence(counting.fk_perfect, k, order)
@@ -347,15 +483,34 @@ def verify_functional_equation(k: int, order: int) -> IdentityReport:
     )
 
 
+# order -> (phi0, ratio, n, phi0 ratio^n), the right side of the phi
+# identity built last for that order: the next shift up costs one product,
+# any other shift a log-n power.  Each entry is replaced whole, so
+# concurrent callers never see a torn one.
+_phi_last: dict[int, tuple[TruncatedSeries, TruncatedSeries, int, TruncatedSeries]] = {}
+
+
+def _phi_side(n: int, order: int) -> TruncatedSeries:
+    """phi0 ratio^n, phi0 = 1/(1-x-x^2) and ratio = (1+x) phi0."""
+    last = _phi_last.get(order)
+    if last is None:
+        phi0 = TruncatedSeries([1, -1, -1], order).reciprocal()
+        last = (phi0, TruncatedSeries([1, 1], order) * phi0, 0, phi0)
+    phi0, ratio, shift, side = last
+    if n == shift + 1:
+        side = side * ratio
+    elif n != shift:
+        side = phi0 * ratio.pow(n)
+    _phi_last[order] = (phi0, ratio, n, side)
+    return side
+
+
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
     """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n."""
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
     lhs = _sequence(lambda shift, b: structures.lambda_weight(shift + 2 * b, b), n, order)
-    phi0 = TruncatedSeries([1, -1, -1], order).reciprocal()
-    ratio = TruncatedSeries([1, 1], order) * phi0
-    rhs = phi0 * ratio.pow(n)
-    return _compare(f"phi(n={n})", lhs, rhs)
+    return _compare(f"phi(n={n})", lhs, _phi_side(n, order))
 
 
 def verify_bessel_egf(k: int, order: int) -> IdentityReport:
@@ -363,24 +518,20 @@ def verify_bessel_egf(k: int, order: int) -> IdentityReport:
 
     det[I_{i-j}(2x) - I_{i+j}(2x)] over i, j = 1..k-1 must have
     n! [x^n] det = f_k(n, 0), and after multiplying by e^x,
-    n! [x^n] (e^x det) = T_k(n).
+    n! [x^n] (e^x det) = T_k(n).  det and e^x det are HurwitzSeries,
+    whose coefficients are those n! [x^n], so they compare with the counts
+    directly; e^x is the all-ones series there.
     """
     if k > MAX_BESSEL_K:
-        raise counting.BudgetExceededError(f"Bessel k = {k} is past the bound of {MAX_BESSEL_K}")
+        raise BudgetExceededError(f"Bessel k = {k} is past the bound of {MAX_BESSEL_K}")
     # the counts before the determinant, so a refused walk term costs no series work
     f_k, t_k = (_sequence(term, k, order) for term in (counting.fk_perfect, counting.tk_total))
-    size = k - 1
-    matrix = [
-        [bessel_i(i - j, order) - bessel_i(i + j, order) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
-    det = determinant(matrix)
+    det = determinant(bessel_matrix(k, order))
     for name, egf, counts in (
         (f"bessel-det(k={k})", det, f_k),
-        (f"bessel-egf(k={k})", exponential(order) * det, t_k),
+        (f"bessel-egf(k={k})", HurwitzSeries([1] * (order + 1), order) * det, t_k),
     ):
-        lhs = TruncatedSeries([egf[n] * math.factorial(n) for n in range(order + 1)], order)
-        report = _compare(name, lhs, counts)
+        report = _compare(name, egf, counts)
         if not report.ok:
             break
     return report

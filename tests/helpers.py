@@ -1,10 +1,12 @@
 """Shared test utilities: an independent polynomial root oracle,
-coefficient-loop oracles for series products and reciprocals, every
-partial matching on n vertices, significant-figure comparison and the
-environment for child processes."""
+coefficient-loop oracles for series products and reciprocals, Horner's
+rule as the composition oracle, the rational Bessel series as the oracle
+for the Hurwitz determinant, every partial matching on n vertices,
+significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -110,6 +112,44 @@ def schoolbook_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
                 acc += c[i] * out[n - i]
         out[n] = -acc * inv0
     return TruncatedSeries(out, a.order)
+
+
+def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """outer(inner) by Horner's rule: one product per coefficient of outer."""
+    top = outer.order
+    while top and not outer.coeffs[top]:
+        top -= 1
+    result = TruncatedSeries([outer.coeffs[top]], outer.order)
+    for i in range(top - 1, -1, -1):
+        result = result * inner
+        result.coeffs[0] += outer.coeffs[i]
+    return result
+
+
+def exponential(order: int) -> TruncatedSeries:
+    """sum x^n / n! truncated at order."""
+    return TruncatedSeries([Fraction(1, math.factorial(n)) for n in range(order + 1)], order)
+
+
+def bessel_i(r: int, order: int) -> TruncatedSeries:
+    """Modified Bessel function of the first kind, I_r(2x), as a series.
+
+    I_r(2x) = sum_j x^(2j+r) / (j! (r+j)!); negative orders coincide with
+    positive ones.
+    """
+    r = abs(r)
+    coeffs = [0] * (order + 1)
+    for j in range((order - r) // 2 + 1):
+        coeffs[2 * j + r] = Fraction(1, math.factorial(j) * math.factorial(r + j))
+    return TruncatedSeries(coeffs, order)
+
+
+def rational_bessel_matrix(k: int, order: int) -> list[list[TruncatedSeries]]:
+    """[I_{i-j}(2x) - I_{i+j}(2x)] over i, j = 1..k-1, as Fraction series."""
+    return [
+        [bessel_i(i - j, order) - bessel_i(i + j, order) for j in range(1, k)]
+        for i in range(1, k)
+    ]
 
 
 def partial_matchings(n: int):

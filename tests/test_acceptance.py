@@ -156,7 +156,7 @@ def test_criterion_4_table_reproduction():
 def test_criterion_5_growth_constants():
     start = time.time()
     failures = []
-    report = asy.compute_rho(3, Fraction(1, 4))
+    report = asy.compute_rho(3)
     if abs(report.rho - 0.21982) > 1e-5:
         failures.append(f"rho_3 = {report.rho}")
     if abs(report.growth_rate - 4.54920) > 1e-4:

@@ -137,16 +137,12 @@ def test_theta_pole_raises():
 
 
 def test_radius_values():
-    assert [asy.radius(k) for k in (2, 3, 4, 5)] == [
-        Fraction(1, 2), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8)
-    ]
-    with pytest.raises(ValueError):
-        asy.radius(1)
+    assert [asy.compute_rho(k).radius for k in (3, 4, 5, 12)] == [1 / 4, 1 / 6, 1 / 8, 1 / 22]
 
 
 @pytest.mark.parametrize("k", range(3, 7))
 def test_estimate_rk_converges_to_the_exact_radius(k):
-    r = float(asy.radius(k))
+    r = 1 / (2 * (k - 1))
     error_40 = abs(asy.estimate_rk(k, 40) - r)
     error_64 = abs(asy.estimate_rk(k, 64) - r)
     assert error_64 < error_40
@@ -171,7 +167,7 @@ def test_estimate_rk_refuses_before_the_walk_table_grows(monkeypatch):
 
 
 def test_compute_rho_exact_quarter():
-    report = asy.compute_rho(3, Fraction(1, 4))
+    report = asy.compute_rho(3)
     assert abs(report.rho - 0.21982) <= 1e-5
     assert abs(report.growth_rate - 4.54920) <= 1e-4
     assert abs(asy.theta(report.rho) - 0.25) <= 1e-10
@@ -181,15 +177,19 @@ def test_compute_rho_exact_quarter():
     assert report.growth_rate == 1 / report.rho
 
 
-def test_compute_rho_round_trip():
-    report = asy.compute_rho(3, asy.theta(0.1))
-    assert abs(report.rho - 0.1) <= 1e-10
+def test_dominant_root_round_trip():
+    # the solver and the integer rounding at a radius with a long ratio
+    num, den = asy.theta(0.1).as_integer_ratio()
+    roots = asy.solve_quartic(QuarticProblem(*asy._clearing_coefficients(num, den)))
+    rho, growth_rate = asy._correctly_rounded_root(roots[asy._dominant_index(roots)].real, num, den)
+    assert abs(rho - 0.1) <= 1e-10
+    assert abs(growth_rate - 10) <= 1e-8
 
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_compute_rho_matches_bisection_oracle(k):
-    r = asy.radius(k)
-    report = asy.compute_rho(k, r)
+    r = Fraction(1, 2 * (k - 1))
+    report = asy.compute_rho(k)
     assert report.radius == float(r)
 
     def cleared(z):
@@ -216,7 +216,7 @@ def test_compute_rho_matches_bisection_oracle(k):
 def test_compute_rho_is_the_correctly_rounded_root(k):
     # exact bisection of the cleared quartic, until both ends of the
     # interval round to the same float
-    r = asy.radius(k)
+    r = Fraction(1, 2 * (k - 1))
 
     def cleared(z):
         return (z - z**3) - r * (1 - z + z * z + z**3 - z**4)
@@ -232,28 +232,57 @@ def test_compute_rho_is_the_correctly_rounded_root(k):
             lo = mid
         else:
             hi = mid
-    assert asy.compute_rho(k, r).rho == float(lo)
+    assert asy.compute_rho(k).rho == float(lo)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_growth_rate_is_the_correctly_rounded_reciprocal(k):
+    # exact bisection of the cleared quartic, until 1/rho at both ends of
+    # the interval rounds to the same float
+    r = Fraction(1, 2 * (k - 1))
+
+    def cleared(z):
+        return (z - z**3) - r * (1 - z + z * z + z**3 - z**4)
+
+    step = Fraction(1, 64)
+    lo = Fraction(0)
+    while cleared(lo + step) < 0:
+        lo += step
+    hi = lo + step
+    while float(1 / lo) != float(1 / hi):
+        mid = (lo + hi) / 2
+        if cleared(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    assert asy.compute_rho(k).growth_rate == float(1 / lo)
 
 
 def test_uncertified_rounding_raises():
     # one Newton step from 0.2 does not land within half an ulp of rho_3
     with pytest.raises(ArithmeticError):
-        asy._correctly_rounded_root(0.2, Fraction(1, 4))
+        asy._correctly_rounded_root(0.2, 1, 4)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_singularities_hold_the_certified_rho(k):
+    # the first four are the closed-form roots compute_rho saw, but for rho
+    report = asy.compute_rho(k)
+    sing = asy.singularities_for_radius(report.radius, report.rho)
+    assert complex(report.rho, 0.0) in sing[:4]
+    changed = [i for i, (a, b) in enumerate(zip(sing, report.roots)) if a != b]
+    assert len(changed) <= 1
+    assert all(abs(sing[i] - report.roots[i]) <= 1e-15 for i in changed)
 
 
 def test_compute_rho_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        asy.compute_rho(3, 0.0)
-    with pytest.raises(ValueError):
-        asy.compute_rho(3, 0.75)
-    with pytest.raises(ValueError):
-        asy.compute_rho(2, 0.25)
-    with pytest.raises(ValueError):
-        asy.compute_rho(3, 0.5)  # theta never reaches 1/2 on (0, 0.7)
+    for k in (2, 1, 0):
+        with pytest.raises(ValueError):
+            asy.compute_rho(k)
 
 
 def test_singularities_for_quarter_radius():
-    sing = asy.singularities_for_radius(Fraction(1, 4))
+    sing = asy.singularities_for_radius(0.25, asy.compute_rho(3).rho)
     expected = [complex(r) for r in APPENDIX_ROOTS_PLUS] + [
         complex(r) for r in APPENDIX_ROOTS_MINUS
     ]
@@ -336,7 +365,7 @@ def test_singular_constants():
 def test_growth_rate_matches_empirical_ratio():
     from crossing_count.structures import s_k3
 
-    report = asy.compute_rho(3, Fraction(1, 4))
+    report = asy.compute_rho(3)
     ratio = s_k3(3, 201) / s_k3(3, 200)
     # the gap decays like 5 * growth_rate / n, so ~0.11 at n = 200
     assert abs(ratio - report.growth_rate) <= 0.12

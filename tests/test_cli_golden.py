@@ -12,8 +12,10 @@ cases, one asym case with --n-max, the refusal of a count past the
 short-arc weight table's row bound, the refusal of a verify order past
 the series bound, two k = 8 walk requests (one refused, one odd) and the
 refusal of a Bessel check past its bound on k.  The growth cases for
-k = 3 and k = 5 were recaptured when rho_k came to be correctly rounded
-(see the file's "about" note).
+k = 3 and k = 5 were recaptured when rho_k came to be correctly rounded,
+and six growth cases for k = 3, 4, 5 when 1/rho_k came to be correctly
+rounded and the singularity list to print the certified rho_k (see the
+file's "about" note).
 """
 
 import json

@@ -2,10 +2,12 @@
 
 run() freezes the heap once cli.main is done, so interpreter teardown
 skips its collections; cli.main itself must never freeze, and the rest
-of finalization (atexit handlers, exit codes) must still happen.
+of finalization (atexit handlers, exit codes) must still happen.  A
+reader that closed the pipe gets exit 141 and no traceback.
 """
 
 import gc
+import os
 import re
 import subprocess
 import sys
@@ -70,3 +72,30 @@ def test_console_script_is_the_module_entry():
     module, attr = re.search(r'^crossing-count = "([\w.]+):(\w+)"$', scripts, re.M).groups()
     assert sys.modules[module] is entry
     assert getattr(entry, attr) is entry.run
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["table --n-max 100 --step 1", "--help", "table --help"],
+    ids=["table", "help", "subcommand-help"],
+)
+def test_closed_pipe_exits_141_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # or flush fails whatever the timing.  --help leaves main by SystemExit
+    # with its text still in stdout's buffer (argparse drops a failed
+    # write, so an unbuffered stdout would hide the case)
+    env = {k: v for k, v in package_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossing_count", *argv.split()],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import crossing_count
 from helpers import package_env
 from crossing_count import counting, oracle
 
@@ -18,6 +19,8 @@ MARKER = "--- modules ---"
 REPORT = f"import sys; print({MARKER!r}); print('\\n'.join(sorted(sys.modules)))"
 # stdlib modules that the parser alone must not load
 HEAVY = {"dataclasses", "fractions", "csv", "json"}
+# what `import fractions` loads: every count, check and constant is on ints
+RATIONAL = {"fractions", "decimal", "numbers"}
 
 
 def _modules(code: str) -> set[str]:
@@ -61,7 +64,7 @@ LAYERS = {
     "asym --n 30": {"asymptotics", "counting", "structures"},
     "growth --k 4": {"asymptotics"},
     "verify --which all --k 3 --order 8": {"powerseries", "counting", "structures"},
-    "oracle --n 6 --k 3": {"oracle", "counting"},
+    "oracle --n 6 --k 3": {"oracle"},
     "roots 1 -5 -1 5 -1": {"asymptotics"},
 }
 
@@ -72,6 +75,7 @@ def test_command_loads_only_its_layers(command, baseline):
     new = _loaded_by(code, baseline)
     assert _package(new) == {"cli"} | LAYERS[command]
     assert "dataclasses" not in new
+    assert not new & RATIONAL
 
 
 def test_json_and_csv_only_for_their_format(baseline):
@@ -83,3 +87,4 @@ def test_json_and_csv_only_for_their_format(baseline):
 
 def test_budget_error_is_one_class():
     assert oracle.BudgetExceededError is counting.BudgetExceededError
+    assert counting.BudgetExceededError is crossing_count.BudgetExceededError

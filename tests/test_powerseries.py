@@ -3,13 +3,20 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import schoolbook_product, schoolbook_reciprocal
+from helpers import (
+    bessel_i,
+    exponential,
+    horner_compose,
+    rational_bessel_matrix,
+    schoolbook_product,
+    schoolbook_reciprocal,
+)
 from crossing_count import counting, structures
 from crossing_count import powerseries as ps
-from crossing_count.powerseries import TruncatedSeries
+from crossing_count.powerseries import HurwitzSeries, TruncatedSeries
 
 ORDER = 8
 
@@ -165,6 +172,112 @@ def test_compose_identity_round_trip(a):
     assert a.compose(TruncatedSeries.x(ORDER)) == a
 
 
+@st.composite
+def composable_pairs(draw, coefficients):
+    """(outer, inner) of one order in 0..12, inner with zero constant term."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    outer = TruncatedSeries(draw(st.lists(coefficients, max_size=order + 1)), order)
+    inner = TruncatedSeries([0, *draw(st.lists(coefficients, max_size=order))], order)
+    return outer, inner
+
+
+@settings(max_examples=50)
+@given(composable_pairs(int_coefficients))
+def test_integer_compose_matches_horner(pair):
+    outer, inner = pair
+    composed = outer.compose(inner)
+    assert composed == horner_compose(outer, inner)
+    assert all(type(c) is int for c in composed.coeffs)
+
+
+@settings(max_examples=30)
+@given(composable_pairs(rational_coefficients))
+def test_rational_compose_matches_horner(pair):
+    outer, inner = pair
+    assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+def test_compose_takes_about_two_sqrt_products(monkeypatch):
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    outer = TruncatedSeries(list(range(1, 102)), 100)
+    inner = TruncatedSeries([0, 1, -1, 2], 100)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    composed = outer.compose(inner)
+    assert len(products) <= 2 * 11
+    monkeypatch.undo()
+    assert composed == horner_compose(outer, inner)
+
+
+@st.composite
+def one_parity_pairs(draw):
+    """Two int series of one order in 0..12, each zero at every odd or at
+    every even index: the products split into polynomials in x^2."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    out = []
+    for _ in range(2):
+        coeffs = draw(st.lists(int_coefficients, max_size=order + 1))
+        parity = draw(st.sampled_from([0, 1]))
+        out.append(TruncatedSeries([c if i % 2 == parity else 0 for i, c in enumerate(coeffs)], order))
+    return tuple(out)
+
+
+@settings(max_examples=50)
+@given(one_parity_pairs())
+def test_one_parity_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook_product(a, b)
+    assert a * a == schoolbook_product(a, a)
+
+
+def binomial_convolution(a: HurwitzSeries, b: HurwitzSeries) -> list[int]:
+    """The coefficients of the Hurwitz product by its definition,
+    sum_i C(n, i) a[i] b[n-i]."""
+    return [sum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1)) for n in range(a.order + 1)]
+
+
+@st.composite
+def hurwitz_pairs(draw):
+    """Two int Hurwitz series of one order in 0..12, the first a unit."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    unit = [draw(st.sampled_from([1, -1])), *draw(st.lists(int_coefficients, max_size=order))]
+    other = draw(st.lists(int_coefficients, max_size=order + 1))
+    return HurwitzSeries(unit, order), HurwitzSeries(other, order)
+
+
+@settings(max_examples=50)
+@given(hurwitz_pairs())
+def test_hurwitz_product_and_reciprocal_match_their_definitions(pair):
+    unit, other = pair
+    assert (unit * other).coeffs == binomial_convolution(unit, other)
+    assert (other * unit).coeffs == binomial_convolution(other, unit)
+    assert (unit * unit.reciprocal()).coeffs == HurwitzSeries.one(unit.order).coeffs
+
+
+def test_hurwitz_reciprocal_refuses_a_non_unit():
+    with pytest.raises(ValueError, match="1 or -1"):
+        HurwitzSeries([2, 1], 4).reciprocal()
+
+
+def _ordinary(h: HurwitzSeries) -> TruncatedSeries:
+    """The power series whose n! [x^n] are h's coefficients."""
+    return TruncatedSeries([Fraction(c, math.factorial(n)) for n, c in enumerate(h.coeffs)], h.order)
+
+
+@pytest.mark.parametrize("k, order", [(3, 30), (4, 30), (5, 24), (6, 20), (12, 12)])
+def test_hurwitz_determinant_matches_the_rational_route(k, order):
+    det = ps.determinant(ps.bessel_matrix(k, order))
+    rational = ps.determinant(rational_bessel_matrix(k, order))
+    assert _ordinary(det) == rational
+    egf = HurwitzSeries([1] * (order + 1), order) * det
+    assert _ordinary(egf) == exponential(order) * rational
+
+
 def test_laplace_identity_orders():
     assert ps.verify_laplace_identity(3, 30).ok
     assert ps.verify_laplace_identity(4, 20).ok
@@ -181,6 +294,22 @@ def test_phi_identity_orders():
     assert ps.verify_phi_identity(0, 20).ok
     assert ps.verify_phi_identity(1, 20).ok
     assert ps.verify_phi_identity(5, 15).ok
+
+
+def test_phi_side_at_any_shift_order(monkeypatch):
+    # up by one, repeated, down, a jump: each side equals phi0 ratio^n,
+    # and the cache keeps one side per order
+    monkeypatch.setattr(ps, "_phi_last", {})
+    order = 18
+    phi0 = ps.TruncatedSeries([1, -1, -1], order).reciprocal()
+    ratio = ps.TruncatedSeries([1, 1], order) * phi0
+    for n in (0, 1, 2, 2, 0, 7, 8, 3):
+        side = phi0
+        for _ in range(n):
+            side = side * ratio
+        assert ps._phi_side(n, order) == side
+        assert ps.verify_phi_identity(n, order).ok
+    assert list(ps._phi_last) == [order]
 
 
 def test_oversized_checks_are_refused_before_any_table_grows():
@@ -232,12 +361,12 @@ def test_bessel_egf_orders():
 
 
 def test_bessel_series_symmetric_in_order():
-    assert ps.bessel_i(-2, 12) == ps.bessel_i(2, 12)
+    assert bessel_i(-2, 12) == bessel_i(2, 12)
 
 
 def test_reconstructed_structure_coefficients_are_integers(monkeypatch):
-    # every side the laplace, functional and phi checks compare is built
-    # from plain ints: no Fraction is made on the way
+    # every side the laplace, functional, phi and Bessel checks compare is
+    # built from plain ints: no Fraction is made on the way
     compared = []
 
     def spy(name, lhs, rhs):
@@ -252,7 +381,15 @@ def test_reconstructed_structure_coefficients_are_integers(monkeypatch):
     assert ps.verify_functional_equation(3, 25).ok
     assert ps.verify_functional_equation(5, 20).ok
     assert ps.verify_phi_identity(3, 15).ok
-    assert compared == ["laplace(k=3)", "functional(k=3)", "functional(k=5)", "phi(n=3)"]
+    assert ps.verify_bessel_egf(4, 20).ok
+    assert compared == [
+        "laplace(k=3)",
+        "functional(k=3)",
+        "functional(k=5)",
+        "phi(n=3)",
+        "bessel-det(k=4)",
+        "bessel-egf(k=4)",
+    ]
 
 
 def test_integer_series_stay_integer():
@@ -293,13 +430,6 @@ def _permutation_determinant(matrix):
     return total
 
 
-def _bessel_matrix(k, order):
-    return [
-        [ps.bessel_i(i - j, order) - ps.bessel_i(i + j, order) for j in range(1, k)]
-        for i in range(1, k)
-    ]
-
-
 INTEGER_MATRIX = [
     [poly(1, 2, 0, 1, order=8), poly(0, 3, order=8), poly(5, order=8)],
     [poly(2, -1, order=8), poly(-1, 0, 2, order=8), poly(0, 0, 1, order=8)],
@@ -309,7 +439,7 @@ INTEGER_MATRIX = [
 
 @pytest.mark.parametrize(
     "matrix",
-    [*(_bessel_matrix(k, 14) for k in range(3, 7)), INTEGER_MATRIX],
+    [*(rational_bessel_matrix(k, 14) for k in range(3, 7)), INTEGER_MATRIX],
     ids=[*(f"bessel-{k}" for k in range(3, 7)), "integer"],
 )
 def test_determinant_matches_permutation_expansion(matrix):
@@ -341,7 +471,7 @@ def test_determinant_inverts_every_pivot_but_the_last(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "reciprocal", counted)
     for k in range(3, 7):
         inverted.clear()
-        matrix = _bessel_matrix(k, 10)
+        matrix = rational_bessel_matrix(k, 10)
         assert ps.determinant(matrix) == _permutation_determinant(matrix)
         assert len(inverted) == len(matrix) - 1
 
@@ -350,8 +480,8 @@ def test_bessel_determinant_at_k_12():
     # for n < 2k no k arcs can cross, so f_12(n, 0) = (n-1)!! and T_12(n)
     # is the involution number
     k, order = 12, 12
-    det = ps.determinant(_bessel_matrix(k, order))
-    egf = ps.exponential(order) * det
+    det = ps.determinant(rational_bessel_matrix(k, order))
+    egf = exponential(order) * det
     involutions = [1, 1]
     for n in range(2, order + 1):
         involutions.append(involutions[-1] + (n - 1) * involutions[-2])
@@ -359,6 +489,10 @@ def test_bessel_determinant_at_k_12():
         double_factorial = 0 if n % 2 else math.prod(range(1, n, 2))
         assert det[n] * math.factorial(n) == double_factorial == counting.fk_perfect(k, n)
         assert egf[n] * math.factorial(n) == involutions[n] == counting.tk_total(k, n)
+    # the production route: Hurwitz coefficients are n! [x^n] already
+    hurwitz = ps.determinant(ps.bessel_matrix(k, order))
+    assert hurwitz.coeffs == [0 if n % 2 else math.prod(range(1, n, 2)) for n in range(order + 1)]
+    assert (ps.HurwitzSeries([1] * (order + 1), order) * hurwitz).coeffs == involutions
     assert ps.verify_bessel_egf(k, order).ok
 
 
