@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from crossing_count.counting import WalkTable
+from crossing_count.walks import WalkTable
 
 K_RANGE = range(2, 7)
 # Vertex counts 0..N_MAX: f_6 (24 unknowns) needs 2m up to 100, T_6 (42) n up to 89.

@@ -12,11 +12,14 @@ which every layer raises and counting and oracle re-export.  Import the
 module you need:
 
 - counting: f_k(n, 0), T_k(n), the Catalan numbers;
+- walks: the walk DP behind f_k(2m, 0) for a k with no recurrence;
 - structures: lam(n, b) and the structure counts S_{k,3}(n);
 - asymptotics: the quartic solver, growth constants, asymptotic factors;
 - powerseries: truncated series and the identity checks;
 - oracle: brute-force enumeration;
-- cli: the command-line front end.
+- cli: the command-line parser, exit codes and shared output helpers;
+- commands: one handler module per subcommand, which cli.main imports
+  only for the command it runs.
 """
 
 

@@ -141,8 +141,23 @@ def solve_quartic(problem: QuarticProblem) -> list[complex]:
     degenerates the quartic is u^4 = 0 up to rounding and is handled as a
     biquadratic.  Roots are Newton-polished at the end, so the branch
     choices only affect intermediate accuracy.
+
+    Finite coefficients can still be too widely spread for double
+    precision (1, 1e200, 1, 1, 1 overflows the shifted cubic term): an
+    intermediate that overflows, or a root that comes out infinite or NaN,
+    raises ValueError.
     """
-    coeffs = problem.coefficients()
+    try:
+        roots = _quartic_roots(problem.coefficients())
+        finite = all(map(cmath.isfinite, roots))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"coefficients {tuple(problem)} are too widely spread for double precision")
+    return roots
+
+
+def _quartic_roots(coeffs) -> list[complex]:
     if coeffs[-1] == 0:
         kept = list(coeffs)
         while kept[-1] == 0:

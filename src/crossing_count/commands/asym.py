@@ -1,0 +1,40 @@
+"""crossing-count asym: the asymptotic against the exact subexponential factor at n."""
+
+from __future__ import annotations
+
+import math
+
+from .. import asymptotics, cli
+
+
+def run(args) -> int:
+    base = cli.base(args)
+    # the larger n first: a row past a table's bound is refused before any is computed
+    report = None
+    if args.n_max is not None and args.n_max > args.n:
+        report = asymptotics.estimate_kprime(args.n_max)
+    count = cli.structure_count(3, args.n, None, cli.open_cache(args))
+    exact = asymptotics.scaled_count(count, base, args.n)
+    asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
+    payload = {
+        "n": args.n,
+        "base": f"{base:.10g}",
+        "count": str(count),
+        "exact_factor": cli.sci(exact, 6),
+        "asymptotic_factor": None if asym is None else cli.sci(asym, 6),
+        # log-scaled, since asym * base^n overflows floats long before n is large
+        "asymptotic_count_log10": (
+            None if asym is None else f"{math.log10(asym) + args.n * math.log10(base):.6f}"
+        ),
+        "ratio": None if asym is None else f"{exact / asym:.6f}",
+    }
+    if args.n_max is not None:
+        if report is None:
+            report = asymptotics.estimate_kprime(args.n_max)
+        payload["kprime_raw"] = f"{report.raw_last:.6f}"
+        payload["kprime_estimate"] = f"{report.estimate:.6f}"
+        payload["kprime_limit"] = f"{asymptotics.singular_constants_check().kprime_limit:.6f}"
+        payload["kprime_n_max"] = args.n_max
+    text = [f"{key} = {'-' if value is None else value}" for key, value in payload.items()]
+    cli.emit(args.format, payload, [payload], text)
+    return cli.EXIT_OK

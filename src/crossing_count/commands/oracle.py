@@ -1,0 +1,33 @@
+"""crossing-count oracle: the brute-force enumeration cross-check."""
+
+from __future__ import annotations
+
+from .. import cli, oracle
+
+
+def run(args) -> int:
+    spec = oracle.EnumSpec(
+        n=args.n,
+        max_crossing=args.k,
+        min_arc_length=args.min_arc,
+        by_isolated=args.by_isolated,
+        budget=oracle.DEFAULT_BUDGET if args.budget is None else args.budget,
+    )
+    rng = None
+    if args.shuffle_seed is not None:
+        import random
+
+        rng = random.Random(args.shuffle_seed)
+    result = oracle.enumerate_count(spec, branch_rng=rng)
+    payload = {"n": args.n, "k": args.k, "min_arc_length": args.min_arc}
+    if args.by_isolated:
+        items = sorted(result.items())
+        payload["histogram"] = {str(ell): str(cnt) for ell, cnt in items}
+        payload["total"] = str(sum(result.values()))
+        records = [{"ell": ell, "count": cnt} for ell, cnt in items]
+        text = [f"{ell} {cnt}" for ell, cnt in items]
+    else:
+        payload["count"] = str(result)
+        records, text = [payload], [str(result)]
+    cli.emit(args.format, payload, records, text)
+    return cli.EXIT_OK

@@ -1,0 +1,32 @@
+"""crossing-count table: the exact and asymptotic subexponential factors for k = 3."""
+
+from __future__ import annotations
+
+from .. import asymptotics, cli
+
+
+def run(args) -> int:
+    if args.step < 1 or args.n_max < args.step:
+        return cli.fail_usage(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
+    if args.digits < 1:
+        return cli.fail_usage(f"table needs --digits >= 1, got {args.digits}")
+    base = cli.base(args)
+    cache = cli.open_cache(args)
+    records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
+    ns = range(args.step, args.n_max + 1, args.step)
+    # largest n first: a row past a table's bound is refused before any is computed or cached
+    counts = {n: cli.structure_count(3, n, None, cache) for n in reversed(ns)}
+    for n in ns:
+        exact = asymptotics.scaled_count(counts[n], base, n)
+        asym = asymptotics.subexp_factor(n) if n >= 5 else None
+        records.append(
+            {
+                "n": n,
+                "exact_factor": cli.sci(exact, 6),
+                "asymptotic_factor": None if asym is None else cli.sci(asym, 6),
+            }
+        )
+        right = "-" if asym is None else cli.sci(asym, args.digits)
+        text.append(f"{n:>6}  {cli.sci(exact, args.digits):>14}  {right:>14}")
+    cli.emit(args.format, {"base": f"{base:.10g}", "rows": records}, records, text)
+    return cli.EXIT_OK

@@ -10,19 +10,13 @@ overdetermined two to one, and writes the table at the bottom of this
 module; one step of a recurrence is a few small-integer products and one
 exact division.
 
-Any other k falls back to walks: a perfect matching on [n] corresponds
-to a closed walk of length n on Young diagrams with at most k-1 rows,
-where every step adds or removes exactly one square (an oscillating
-tableau that starts and ends at the empty shape).  Splitting a closed
-walk of length 2m at its midpoint gives
-
-    f_k(2m, 0) = sum over shapes lam of W_m(lam)^2,
-
-where W_m(lam) counts the m-step walks from the empty shape to lam, so
-one more step of the frontier W_m extends the sequence by one term, and
-T_k(n) = sum_m binom(n, 2m) f_k(2m, 0).  That route stays the test
-oracle for the recurrences; a request whose W_m would pass
-MAX_FRONTIER_SHAPES is refused from frontier_shapes, before any step.
+Any other k falls back to the walk DP of the walks module, which counts
+f_k(2m, 0) from closed walks on Young diagrams with at most k-1 rows,
+and T_k(n) = sum_m binom(n, 2m) f_k(2m, 0).  That route stays the test
+oracle for the recurrences.  A request whose walk frontier W_m would
+pass MAX_FRONTIER_SHAPES is refused here, from walks.frontier_shapes,
+before any step; the walks module is imported only for such a k, so a
+command that stays on the recurrences never compiles it.
 Partial-matching counts follow by choosing which vertices stay isolated.
 
 Everything here is exact: counts are plain Python integers and are never
@@ -104,61 +98,20 @@ class RecurrenceTable(GrowingTable):
         terms.append(quotient)
 
 
-class WalkTable(GrowingTable):
-    """f_k(2m, 0) for m = 0, 1, ..., max_n, extended one walk step at a time.
-
-    Keeps the frontier W_m of m-step walks from the empty shape; a step
-    advances it to W_{m+1} and appends f_k(2m+2, 0).
-    """
-
-    def __init__(self, k: int):
-        super().__init__([1])
-        self._max_rows = k - 1
-        self._frontier: dict[tuple[int, ...], int] = {(): 1}
-
-    def _step(self) -> None:
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        for shape, ways in self._frontier.items():
-            rows = len(shape)
-            # add one square to any row that stays weakly decreasing
-            for i in range(rows):
-                if i == 0 or shape[i - 1] > shape[i]:
-                    cand = shape[:i] + (shape[i] + 1,) + shape[i + 1 :]
-                    nxt[cand] = get(cand, 0) + ways
-            if rows < self._max_rows:
-                cand = shape + (1,)
-                nxt[cand] = get(cand, 0) + ways
-            # remove one square; a row emptied this way is always the last
-            for i in range(rows):
-                if i == rows - 1 or shape[i] > shape[i + 1]:
-                    v = shape[i] - 1
-                    cand = shape[:i] + (v,) + shape[i + 1 :] if v else shape[:i]
-                    nxt[cand] = get(cand, 0) + ways
-        self._frontier = nxt
-        self._terms.append(sum(ways * ways for ways in nxt.values()))
-
-
-def frontier_shapes(k: int, m: int) -> int:
-    """Shapes in W_m, those with at most k-1 rows, at most m squares and the
-    parity of m, counted as their conjugates: partitions into parts <= k-1."""
-    ways = [1] + [0] * m
-    for part in range(1, min(k - 1, m) + 1):
-        for j in range(part, m + 1):
-            ways[j] += ways[j - part]
-    return sum(ways[m % 2 :: 2])
-
-
 def _fk_table(k: int, m: int) -> GrowingTable:
     """The table for f_k(2m, 0): the recurrence, else the walk table, made once."""
     if k < 2:
         raise ValueError(f"crossing bound k must be >= 2, got {k}")
+    if k in FK_RECURRENCES:
+        return _fk_tables[k]
+    from . import walks
+
     # W_m only grows with m, and with two rows W_2t alone has (t+1)(t+2)/2
     # shapes, past the bound at t = isqrt(2 bound): no larger m need be counted
     counted = min(m, 2 * math.isqrt(2 * MAX_FRONTIER_SHAPES))
-    if k not in FK_RECURRENCES and frontier_shapes(k, counted) > MAX_FRONTIER_SHAPES:
+    if walks.frontier_shapes(k, counted) > MAX_FRONTIER_SHAPES:
         raise BudgetExceededError(f"f_{k}({2 * m}, 0) needs over {MAX_FRONTIER_SHAPES} walk shapes")
-    return _fk_tables.get(k) or _fk_tables.setdefault(k, WalkTable(k))
+    return _fk_tables.get(k) or _fk_tables.setdefault(k, walks.WalkTable(k))
 
 
 def fk_perfect(k: int, n: int) -> int:

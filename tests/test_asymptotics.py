@@ -72,6 +72,20 @@ def test_quartic_rejects_non_finite_coefficient(bad, position):
         QuarticProblem(*coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 1e200, 1, 1, 1),  # overflows in the shifted cubic term
+        (1e-160, 1, 1, 1, 1),  # the same, from a tiny leading coefficient
+        (1, 1, 1, 1e160, 1),  # overflows in the resolvent cubic
+        (1, 0, 0, 1e160, -1),  # no exception, but every root comes out NaN
+    ],
+)
+def test_quartic_rejects_too_widely_spread_coefficients(coeffs):
+    with pytest.raises(ValueError, match="widely spread"):
+        asy.solve_quartic(QuarticProblem(*coeffs))
+
+
 def _random_problem(rng):
     while True:
         a = rng.uniform(-10, 10)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from crossing_count import counting, structures
+from crossing_count import counting, structures, walks
 from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count
 
 
@@ -59,7 +59,7 @@ def test_fk_perfect_matches_closed_form_to_1024():
 
 
 def test_walk_table_matches_closed_form_to_300():
-    table = counting.WalkTable(3)
+    table = walks.WalkTable(3)
     for m in range(151):
         assert table.value(m) == counting.fk_closed_form_k3(2 * m)
 
@@ -67,11 +67,11 @@ def test_walk_table_matches_closed_form_to_300():
 @pytest.mark.parametrize("k", range(3, 7))
 def test_walk_table_same_values_in_any_query_order(k):
     m_max = 30
-    ascending = counting.WalkTable(k)
+    ascending = walks.WalkTable(k)
     up = [ascending.value(m) for m in range(m_max + 1)]
-    descending = counting.WalkTable(k)
+    descending = walks.WalkTable(k)
     down = [descending.value(m) for m in range(m_max, -1, -1)][::-1]
-    large = counting.WalkTable(k)
+    large = walks.WalkTable(k)
     large.ensure(m_max)
     assert up == down == [large.value(m) for m in range(m_max + 1)]
 
@@ -139,8 +139,8 @@ def _grow_concurrently(table, queries):
 
 def test_walk_table_concurrent_growth_matches_sequential():
     queries = list(range(41))
-    expected = [counting.WalkTable(4).value(m) for m in queries]
-    table = counting.WalkTable(4)
+    expected = [walks.WalkTable(4).value(m) for m in queries]
+    table = walks.WalkTable(4)
     assert _grow_concurrently(table, queries) == [expected] * 6
     assert table.max_n == 40
 
@@ -149,7 +149,7 @@ def test_walk_table_concurrent_growth_matches_sequential():
     "make",
     [
         lambda: counting.RecurrenceTable(*counting.TK_RECURRENCES[3]),
-        lambda: counting.WalkTable(3),
+        lambda: walks.WalkTable(3),
         structures.LambdaTable,
     ],
     ids=["RecurrenceTable", "WalkTable", "LambdaTable"],
@@ -238,7 +238,7 @@ def test_concurrent_calls_are_consistent():
 @functools.cache
 def _walks(k):
     """One shared walk table per k, the oracle for the recurrences."""
-    return counting.WalkTable(k)
+    return walks.WalkTable(k)
 
 
 def _unknowns(rec):
@@ -292,10 +292,10 @@ def test_vanishing_leading_coefficient_raises():
 
 def test_shape_count_is_the_walk_frontier():
     for k in range(2, 9):
-        walks = counting.WalkTable(k)
+        table = walks.WalkTable(k)
         for m in range(31):
-            walks.ensure(m)
-            assert counting.frontier_shapes(k, m) == len(walks._frontier), (k, m)
+            table.ensure(m)
+            assert walks.frontier_shapes(k, m) == len(table._frontier), (k, m)
 
 
 @pytest.mark.parametrize(("k", "n_accepted"), [(7, 82), (8, 74)])
@@ -315,7 +315,7 @@ def test_walk_request_is_refused_from_the_shape_count(k, n_accepted, monkeypatch
         with pytest.raises(BudgetExceededError, match="walk shapes"):
             query()
     assert fresh.keys() == counting.FK_RECURRENCES.keys()  # no walk table made
-    assert counting.frontier_shapes(k, n_accepted // 2) <= counting.MAX_FRONTIER_SHAPES
+    assert walks.frontier_shapes(k, n_accepted // 2) <= counting.MAX_FRONTIER_SHAPES
     assert counting._fk_table(k, n_accepted // 2).max_n == 0  # accepted, nothing walked yet
     assert counting.fk_perfect(k, refused + 1) == 0  # odd: no term is read, so no refusal
 

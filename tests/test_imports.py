@@ -1,4 +1,4 @@
-"""Each CLI command loads only the layers it runs.
+"""Each CLI command loads only its own handler module and the layers it runs.
 
 Every check runs in a fresh interpreter and compares its sys.modules
 with that of a bare interpreter in the same environment, since `site`
@@ -69,13 +69,28 @@ LAYERS = {
 }
 
 
+def _running(*commands: str) -> str:
+    """Code that runs each command through cli.main in one interpreter."""
+    argvs = [command.split() for command in commands]
+    return f"import crossing_count.cli as cli\nfor argv in {argvs!r}: assert cli.main(argv) == 0"
+
+
 @pytest.mark.parametrize("command", LAYERS)
 def test_command_loads_only_its_layers(command, baseline):
-    code = f"import crossing_count.cli as cli; assert cli.main({command.split()!r}) == 0"
-    new = _loaded_by(code, baseline)
-    assert _package(new) == {"cli"} | LAYERS[command]
+    new = _loaded_by(_running(command), baseline)
+    # its own handler module and no other command's
+    handler = {"commands", f"commands.{command.split()[0]}"}
+    assert _package(new) == {"cli"} | handler | LAYERS[command]
     assert "dataclasses" not in new
     assert not new & RATIONAL
+
+
+def test_walks_load_only_for_a_k_without_recurrence(baseline):
+    on_recurrences = [f"count --k {k} --n 30" for k in range(3, 7)] + [
+        f"verify --which all --k {k} --order 8" for k in range(3, 7)
+    ]
+    assert "walks" not in _package(_loaded_by(_running(*on_recurrences), baseline))
+    assert "walks" in _package(_loaded_by(_running("count --k 7 --n 10"), baseline))
 
 
 def test_json_and_csv_only_for_their_format(baseline):

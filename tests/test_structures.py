@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from helpers import package_env
-from crossing_count import counting, structures
+from crossing_count import counting, structures, walks
 from crossing_count.oracle import EnumSpec, enumerate_count
 from crossing_count.structures import LambdaTable, lambda_weight, s_k3, s_k3_by_isolated
 
@@ -131,8 +131,8 @@ def test_counts_match_a_walk_table_recomputation(k):
     # the production path reads the recurrence tables; rebuild every count
     # from the walk table and the binomial sum instead
     n_max = 60
-    walks = counting.WalkTable(k)
-    f = [0 if n % 2 else walks.value(n // 2) for n in range(n_max + 1)]
+    table = walks.WalkTable(k)
+    f = [0 if n % 2 else table.value(n // 2) for n in range(n_max + 1)]
     t = [sum(math.comb(n, 2 * m) * f[2 * m] for m in range(n // 2 + 1)) for n in range(n_max + 1)]
 
     def signed(n, terms):
