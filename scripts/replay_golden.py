@@ -5,7 +5,10 @@
 tests/test_cli_golden.py calls cli.main in process, so it never runs the
 process entry point in crossing_count/__main__.py.  This script runs each
 case as its own child interpreter, with '{tmp}' replaced by a fresh
-temporary directory, and exits 1 if any stdout or exit code differs.
+temporary directory, and exits 1 if any stdout or exit code differs, or
+if a child reports an exception it could not raise ("Exception ignored
+in ..." on stderr, such as an unclosed file under PYTHONDEVMODE=1 with
+PYTHONWARNINGS=error).
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ def main() -> int:
             proc = subprocess.run(
                 [sys.executable, "-m", "crossing_count", *argv], capture_output=True, text=True
             )
-        if (proc.returncode, proc.stdout) != (case["exit"], case["stdout"]):
+        ignored = "Exception ignored" in proc.stderr
+        if ignored or (proc.returncode, proc.stdout) != (case["exit"], case["stdout"]):
             failures += 1
             print(f"differs: {' '.join(case['argv'])} (exit {proc.returncode})", file=sys.stderr)
+            if ignored:
+                print(proc.stderr, end="", file=sys.stderr)
     print(f"{len(cases) - failures} of {len(cases)} golden cases match through python -m crossing_count")
     return 1 if failures else 0
 

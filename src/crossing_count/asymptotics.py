@@ -322,22 +322,18 @@ def compute_rho(k: int) -> GrowthReport:
     return GrowthReport(k, r_k, rho, growth_rate, abs(theta(rho) - r_k), tuple(roots))
 
 
-def singularities_for_radius(r: float, rho: float) -> list[complex]:
-    """All eight roots of (z - z^3) = +-r (1 - z + z^2 + z^3 - z^4).
+def singularities_for_radius(report: GrowthReport) -> list[complex]:
+    """All eight roots of (z - z^3) = +-r_k (1 - z + z^2 + z^3 - z^4).
 
     These are the singularities the radius map induces from the pair of
-    dominant singularities +-r; for r = 1/4 they are the roots of
-    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  r is taken
-    exactly through as_integer_ratio().  rho, the certified root from
-    compute_rho for this r, replaces the closed-form root it rounds, so
-    the list holds rho_k with the same bytes and imaginary part 0.
+    dominant singularities +-r_k; for k = 3 they are the roots of
+    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  The +r_k half
+    is report.roots with the certified rho in place of the closed-form root
+    it rounds; only the -r_k quartic is solved, from the exact pair -1, 2(k-1).
     """
-    num, den = r.as_integer_ratio()
-    out: list[complex] = []
-    for signed in (num, -num):
-        out.extend(solve_quartic(QuarticProblem(*_clearing_coefficients(signed, den))))
-    out[_dominant_index(out[:4])] = complex(rho, 0.0)
-    return out
+    plus = list(report.roots)
+    plus[_dominant_index(plus)] = complex(report.rho, 0.0)
+    return plus + solve_quartic(QuarticProblem(*_clearing_coefficients(-1, 2 * (report.k - 1))))
 
 
 def _falling_factorial(n: int) -> int:
@@ -352,11 +348,15 @@ def subexp_factor(n: int) -> float:
 
 
 def scaled_count(value: int, base: float, n: int) -> float:
-    """value / base^n, without overflowing floats: the exact subexponential
-    factor S_{3,3}(n) / base^n when value is the exact count."""
+    """value / base^n, without overflowing floats on the way: the exact
+    subexponential factor S_{3,3}(n) / base^n when value is the exact count.
+    A result past float range raises ValueError."""
     if value == 0:
         return 0.0
-    return math.exp(math.log(value) - n * math.log(base))
+    try:
+        return math.exp(math.log(value) - n * math.log(base))
+    except OverflowError:
+        raise ValueError(f"count / base^n is past float range for base {base} and n = {n}") from None
 
 
 def kprime(n: int) -> float:

@@ -7,7 +7,7 @@ from .. import asymptotics, cli
 
 def run(args) -> int:
     report = asymptotics.compute_rho(args.k)
-    sing = asymptotics.singularities_for_radius(report.radius, report.rho)
+    sing = asymptotics.singularities_for_radius(report)
     payload = {
         "k": args.k,
         "r_k": report.radius,

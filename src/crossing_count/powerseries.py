@@ -6,14 +6,14 @@ composition) is exact modulo x^{N+1}, in the ring of its coefficients.
 Integer series stay integer, and so does the reciprocal of one with
 constant term 1 or -1; any other reciprocal gives Fractions.  Every
 product of two series is one big-integer product (Kronecker
-substitution, after clearing a common denominator), and a reciprocal is
-a few such products by Newton's iteration, so no product or reciprocal
+substitution, after clearing a common denominator), so no product
 loops over pairs of coefficients in Python.  Composition is
 Paterson-Stockmeyer: about 2 sqrt(N) products, where Horner's rule
 takes N.  A HurwitzSeries stores an exponential generating function by
 its integer coefficients n! [x^n]; its products are binomial
 convolutions, done as one Kronecker product with factorial weights and
-an exact division.
+an exact division.  Both rings invert a series by the one Newton
+iteration, _newton_inverse, each with its own truncated product.
 
 The verify_* functions rebuild both sides of the generating-function
 identities that tie the structure counts to the matching counts and
@@ -41,18 +41,6 @@ MAX_ORDER = 200
 # (k-1) x (k-1) elimination grows like k^3.  At k = 12 the largest order the
 # walk frontier accepts, 65, takes about 0.2 s in the determinant.
 MAX_BESSEL_K = 12
-
-
-def _integer_vector(coeffs: list) -> tuple[list[int], int | None]:
-    """(ints, den) with coeffs[i] == ints[i] / den.
-
-    den is None when every coefficient is a plain int (ints is coeffs
-    then), and the least common denominator otherwise, which may be 1.
-    """
-    if all(type(c) is int for c in coeffs):
-        return coeffs, None
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
@@ -101,6 +89,39 @@ def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
     data = memoryview(biased.to_bytes(nbytes, "little"))
     out = [int.from_bytes(data[i : i + size], "little") - half for i in range(0, nbytes, size)]
     return out + [0] * (length - count)
+
+
+def _ordinary_product(a: list, b: list, length: int, shift: int = 0) -> list:
+    """The first `length` coefficients of a * b; shift is ignored, since
+    coefficient shift + j of a * x^shift b is coefficient j of a * b.
+
+    A side holding any Fraction is scaled to integers by its least common
+    denominator first, so the work is one Kronecker product either way.
+    """
+    if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+        return _kronecker_product(a, b, length)
+    from fractions import Fraction
+
+    dens = [math.lcm(*(c.denominator for c in v)) for v in (a, b)]
+    a, b = ([c.numerator * (d // c.denominator) for c in v] for v, d in zip((a, b), dens))
+    return [Fraction(p, dens[0] * dens[1]) for p in _kronecker_product(a, b, length)]
+
+
+def _newton_inverse(a: list, order: int, r0, product) -> list:
+    """r with a * r = 1 modulo x^(order+1), from r0 = 1 / a[0].
+
+    If a * r = 1 + x^d e, then r - x^d r e inverts a modulo x^(2d): each
+    Newton step doubles the known terms with two truncated products,
+    product(u, v, length, shift) giving coefficients shift ..
+    shift+length-1 of u * x^shift v.
+    """
+    r = [r0]
+    while len(r) <= order:
+        done = len(r)
+        step = min(done, order + 1 - done)
+        e = product(a, r, done + step)[done:]
+        r += [-c for c in product(r, e, step, done)]
+    return r
 
 
 def _parity(v: list[int]) -> int | None:
@@ -194,43 +215,22 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):  # a scalar
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         self._check_order(other)
-        a, a_den = _integer_vector(self.coeffs)
-        b, b_den = (a, a_den) if other is self else _integer_vector(other.coeffs)
-        product = _kronecker_product(a, b, self.order + 1)
-        if a_den is None and b_den is None:
-            return TruncatedSeries(product, self.order)
-        from fractions import Fraction
-
-        den = (a_den or 1) * (b_den or 1)
-        return TruncatedSeries([Fraction(p, den) for p in product], self.order)
+        return TruncatedSeries(_ordinary_product(self.coeffs, other.coeffs, self.order + 1), self.order)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series r with self * r = 1 modulo x^(order+1), by Newton steps.
-
-        If r inverts self modulo x^d, then self * r = 1 + x^d e and
-        r - x^d r e inverts it modulo x^(2d): each step doubles the known
-        terms with two products.
-        """
+        """Series r with self * r = 1 modulo x^(order+1), by _newton_inverse."""
         a = self.coeffs
         if not a[0]:
             raise ValueError("reciprocal needs a nonzero constant term")
         if a[0] in (1, -1):
-            r = [a[0]]
+            r0 = a[0]
         else:
             from fractions import Fraction
 
-            r = [1 / Fraction(a[0])]
-        while len(r) <= self.order:
-            done = len(r)
-            step = min(done, self.order + 1 - done)
-            top = done + step - 1
-            ar = TruncatedSeries(a[: top + 1], top) * TruncatedSeries(r, top)
-            e = TruncatedSeries(ar.coeffs[done:], step - 1)
-            correction = TruncatedSeries(r[:step], step - 1) * e
-            r += [-c for c in correction.coeffs]
-        return TruncatedSeries(r, self.order)
+            r0 = 1 / Fraction(a[0])
+        return TruncatedSeries(_newton_inverse(a, self.order, r0, _ordinary_product), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner); inner must have zero constant term.
@@ -265,20 +265,6 @@ class TruncatedSeries:
             giant = powers[-1] * inner
             for start in reversed(starts[:-1]):
                 result = result * giant + block(start)
-        return result
-
-    def pow(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError(f"exponent must be nonnegative, got {exponent}")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
         return result
 
 
@@ -341,22 +327,11 @@ class HurwitzSeries:
         )
 
     def reciprocal(self) -> "HurwitzSeries":
-        """Series r with self * r = 1 modulo x^(order+1), by Newton steps.
-
-        As for TruncatedSeries: if self * r - 1 = e vanishes below d, then
-        r - r * e inverts self below 2d, and r * e needs only the first
-        terms of r and those of e from d on.
-        """
+        """Series r with self * r = 1 modulo x^(order+1), by _newton_inverse."""
         a = self.coeffs
         if a[0] not in (1, -1):
             raise ValueError("Hurwitz reciprocal needs a constant term of 1 or -1")
-        r = [a[0]]
-        while len(r) <= self.order:
-            done = len(r)
-            step = min(done, self.order + 1 - done)
-            e = _binomial_convolution(a, r, done + step)[done:]
-            r += [-c for c in _binomial_convolution(r, e, step, done)]
-        return HurwitzSeries(r, self.order)
+        return HurwitzSeries(_newton_inverse(a, self.order, a[0], _binomial_convolution), self.order)
 
 
 def bessel_matrix(k: int, order: int) -> list[list[HurwitzSeries]]:
@@ -484,23 +459,24 @@ def verify_functional_equation(k: int, order: int) -> IdentityReport:
 
 
 # order -> (phi0, ratio, n, phi0 ratio^n), the right side of the phi
-# identity built last for that order: the next shift up costs one product,
-# any other shift a log-n power.  Each entry is replaced whole, so
+# identity built last for that order.  Each entry is replaced whole, so
 # concurrent callers never see a torn one.
 _phi_last: dict[int, tuple[TruncatedSeries, TruncatedSeries, int, TruncatedSeries]] = {}
 
 
 def _phi_side(n: int, order: int) -> TruncatedSeries:
-    """phi0 ratio^n, phi0 = 1/(1-x-x^2) and ratio = (1+x) phi0."""
+    """phi0 ratio^n, phi0 = 1/(1-x-x^2) and ratio = (1+x) phi0: one product
+    per shift up from the last side built at this order, or from phi0
+    when n is below its shift."""
     last = _phi_last.get(order)
     if last is None:
         phi0 = TruncatedSeries([1, -1, -1], order).reciprocal()
         last = (phi0, TruncatedSeries([1, 1], order) * phi0, 0, phi0)
     phi0, ratio, shift, side = last
-    if n == shift + 1:
+    if n < shift:
+        shift, side = 0, phi0
+    for _ in range(n - shift):
         side = side * ratio
-    elif n != shift:
-        side = phi0 * ratio.pow(n)
     _phi_last[order] = (phi0, ratio, n, side)
     return side
 
