@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
@@ -350,13 +351,17 @@ def subexp_factor(n: int) -> float:
 def scaled_count(value: int, base: float, n: int) -> float:
     """value / base^n, without overflowing floats on the way: the exact
     subexponential factor S_{3,3}(n) / base^n when value is the exact count.
-    A result past float range raises ValueError."""
+    A result past float range raises ValueError, and so does one below the
+    normal floats, whose subnormal has lost the digits the CLI prints."""
     if value == 0:
         return 0.0
     try:
-        return math.exp(math.log(value) - n * math.log(base))
+        scaled = math.exp(math.log(value) - n * math.log(base))
     except OverflowError:
         raise ValueError(f"count / base^n is past float range for base {base} and n = {n}") from None
+    if scaled < sys.float_info.min:
+        raise ValueError(f"count / base^n is below float range for base {base} and n = {n}")
+    return scaled
 
 
 def kprime(n: int) -> float:

@@ -2,26 +2,27 @@
 
 Counts partial matchings directly from the definition: vertices 1..n
 of degree at most one, arcs (i, j) with j - i >= min_arc_length, and no
-max_crossing mutually crossing arcs.  The search decides the vertices
-from left to right: the first undecided vertex v is left isolated or
-paired with an admissible partner.
+max_crossing mutually crossing arcs.  The search passes the vertices
+from left to right, one transition each.
 
-A state is v together with the ends b of the open arcs (a, b), a < v < b,
-listed in the order of their starts.  That key is exact: it is all the
-past that shapes the completions.
+A state is vertex v together with the ends b of the open arcs (a, b),
+a < v <= b, listed in the order of their starts.  If v is one of those
+ends its arc closes there, v's one move; otherwise v is left isolated
+or opens an arc to an admissible partner.  That key is exact: it is all
+the past that shapes the completions.
 - Two open arcs cross iff their ends come in the same order as their
   starts; so the open arcs hold k mutually crossing arcs iff the ends
   have an increasing run of length k.
 - A later arc (v', j') crosses an open arc iff v' < b < j'; a closed arc
   ends before v' and crosses none.
-- The used vertices past v are exactly those ends.
+- The used vertices from v on are exactly those ends.
 So a pair (v, j) completes a k-crossing iff j is past b*, the least end
 that closes an increasing run of k - 1 ends, and the search counts each
 state once, however many paths reach it.  Each state carries the
 histogram of the paths into it as one packed int (slot a: paths with a
 arcs), so adding an arc is a shift and merging two paths is one add.
 Once v is past n - min_arc_length no arc can start, so the rest of the
-diagram is fixed.
+diagram is fixed and the last level's histograms are summed.
 
 The search stays exponential.  A deterministic budget guard (an
 a-priori bound on the number of states, not wall time) refuses
@@ -38,8 +39,8 @@ from math import comb, factorial
 
 from . import BudgetExceededError  # re-exported: the oracle raises it too
 
-# states, not diagrams: admits oracle --n 18 --k 3 (bound 297 820, 1.8 s on a
-# 2-vCPU VM) and --n 17 --k 4 (441 120, 3.3 s); refuses --n 19 --k 3
+# states, not diagrams: admits oracle --n 18 --k 3 (bound 297 820, 1.0-1.5 s on
+# a 2-vCPU VM) and --n 17 --k 4 (441 120, 2.3-2.8 s); refuses --n 19 --k 3
 # (701 171) at once
 DEFAULT_BUDGET = 5 * 10**5
 
@@ -112,52 +113,42 @@ def crossing_number(d: Diagram) -> int:
     return 1 if arcs else 0
 
 
-def _shapes(m: int, widest: int):
-    """Partitions of m into parts of at most widest, largest part first."""
-    if m == 0:
-        yield ()
-        return
-    for part in range(min(m, widest), 0, -1):
-        for rest in _shapes(m - part, part):
-            yield (part, *rest)
-
-
-def _tableaux(shape) -> int:
-    """Standard Young tableaux of the shape, by the hook length formula."""
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            below = sum(1 for r in shape[i + 1 :] if r > j)
-            hooks *= row - j + below
-    return factorial(sum(shape)) // hooks
-
-
-def _end_orders(m: int, k: int) -> int:
-    """Orders of m open-arc ends that hold no k mutually crossing arcs.
-
-    These are the permutations of m whose longest increasing run is
-    below k; by RSK, the sum of (tableaux of shape)^2 over the shapes of
-    m whose rows are shorter than k.
+def _end_orders(k: int):
+    """Yield, for m = 0, 1, 2, ..., the orders of m open-arc ends that
+    hold no k mutually crossing arcs: the permutations of m whose longest
+    increasing run is below k.  By RSK that is the sum of t^2 over the
+    shapes of m with rows shorter than k, t the shape's standard tableaux,
+    grown here one square at a time (the square of m + 1 at a corner).
     """
-    return sum(_tableaux(s) ** 2 for s in _shapes(m, k - 1))
+    tableaux = {(): 1}
+    while True:
+        yield sum(t * t for t in tableaux.values())
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, t in tableaux.items():
+            for i, row in enumerate((*shape, 0)):
+                if row < k - 1 and (i == 0 or shape[i - 1] > row):
+                    bigger = (*shape[:i], row + 1, *shape[i + 1 :])
+                    grown[bigger] = grown.get(bigger, 0) + t
+        tableaux = grown
 
 
 def state_bound(spec: EnumSpec) -> int:
     """A-priori bound on the states the search of enumerate_count visits.
 
     A state at vertex v holds m open arcs, m <= min(v - 1, n - v): a set
-    of m ends past v, in one of _end_orders(m, k) orders.  The root
-    counts even when no arc can start, so a budget of 0 refuses every
-    search.  Stops summing once the budget is passed, so an oversized
-    request is refused at once.
+    of m ends past v, in one of the orders _end_orders yields for m.  The
+    root counts even when no arc can start, so a budget of 0 refuses
+    every search.  Stops summing once the budget is passed, so an
+    oversized request is refused at once.
     """
-    n, k = spec.n, spec.max_crossing
+    n = spec.n
+    end_orders = _end_orders(spec.max_crossing)
     orders: list[int] = []
     bound = 1
     for v in range(2, n - spec.min_arc_length + 1):
         for m in range(min(v - 1, n - v) + 1):
             if m == len(orders):
-                orders.append(_end_orders(m, k))
+                orders.append(next(end_orders))
             bound += comb(n - v, m) * orders[m]
         if bound > spec.budget:
             break
@@ -165,11 +156,11 @@ def state_bound(spec: EnumSpec) -> int:
 
 
 def _search(spec: EnumSpec, branch_rng=None) -> tuple[int, int, int]:
-    """Forward pass over the states (v, open-arc ends in start order).
+    """Forward pass over the vertices 1..n - min_arc_length.
 
     Returns (packed, width, states): packed holds, in slot a of width
     bits, the number of diagrams with a arcs; states counts the states
-    expanded.
+    (v, open-arc ends in start order) at which v has a choice.
     """
     n, k, min_len = spec.n, spec.max_crossing, spec.min_arc_length
     last = n - min_len  # no arc starts past this vertex
@@ -178,16 +169,19 @@ def _search(spec: EnumSpec, branch_rng=None) -> tuple[int, int, int]:
     # every diagram is one choice per vertex v <= last: isolated, an end,
     # or one of last - v + 1 partners; so no slot ever exceeds (last + 1)!
     width = factorial(last + 1).bit_length()
-    # levels[v]: open-arc ends -> packed counts by arcs so far, for the
-    # states whose first undecided vertex is v
-    levels = [{} for _ in range(last + 1)]
-    levels[1][()] = 1
-    done = 0  # packed counts of the diagrams past last, whose rest is isolated
+    # open-arc ends -> packed counts by arcs so far, for the diagrams on 1..v - 1
+    level: dict[tuple[int, ...], int] = {(): 1}
     states = 0
     for v in range(1, last + 1):
-        level, levels[v] = levels[v], None
-        states += len(level)
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
         for ends, packed in level.items():
+            if v in ends:  # v closes its arc, its one move
+                i = ends.index(v)
+                closed = ends[:i] + ends[i + 1 :]
+                nxt[closed] = get(closed, 0) + packed
+                continue
+            states += 1
             top = n + 1  # first partner that would close a k-crossing
             if len(ends) >= k - 1:
                 tails: list[int] = []  # tails[r]: least end closing an increasing run of r + 1
@@ -202,30 +196,13 @@ def _search(spec: EnumSpec, branch_rng=None) -> tuple[int, int, int]:
             partners = [j for j in range(v + min_len, top) if j not in ends]
             if branch_rng is not None and len(partners) > 1:  # shorter lists draw nothing
                 branch_rng.shuffle(partners)
+            nxt[ends] = get(ends, 0) + packed
             shifted = packed << width
-            # the next undecided vertex skips the ends at v + 1, v + 2, ...
-            u = v + 1
-            while u in ends:
-                u += 1
-            if u > last:  # every move ends the search
-                done += packed + shifted * len(partners)
-                continue
-            rest = ends if u == v + 1 else tuple(b for b in ends if b > u)
-            level_u = levels[u]
-            level_u[rest] = level_u.get(rest, 0) + packed
             for j in partners:
-                if j != u:
-                    key, target = (*rest, j), level_u
-                else:  # the arc (v, j) closes at the next undecided vertex too
-                    w = u + 1
-                    while w in rest:
-                        w += 1
-                    if w > last:
-                        done += shifted
-                        continue
-                    key, target = tuple(b for b in rest if b > w), levels[w]
-                target[key] = target.get(key, 0) + shifted
-    return done, width, states
+                opened = (*ends, j)
+                nxt[opened] = get(opened, 0) + shifted
+        level = nxt
+    return sum(level.values()), width, states
 
 
 def enumerate_count(spec: EnumSpec, branch_rng=None):

@@ -1,7 +1,8 @@
 """Shared test utilities: an independent polynomial root oracle,
 coefficient-loop oracles for series products and reciprocals, Horner's
 rule as the composition oracle, the rational Bessel series as the oracle
-for the Hurwitz determinant, every partial matching on n vertices,
+for the Hurwitz determinant, every partial matching on n vertices, the
+hook length formula as the oracle for the oracle's end orders,
 significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
@@ -167,6 +168,26 @@ def partial_matchings(n: int):
 
     for arcs in matchings(tuple(range(1, n + 1))):
         yield Diagram(n, frozenset(arcs))
+
+
+def shapes(m: int, widest: int):
+    """Partitions of m into parts of at most widest, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, widest), 0, -1):
+        for rest in shapes(m - part, part):
+            yield (part, *rest)
+
+
+def tableaux(shape) -> int:
+    """Standard Young tableaux of the shape, by the hook length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1 :] if r > j)
+            hooks *= row - j + below
+    return math.factorial(sum(shape)) // hooks
 
 
 def matches_sig_figs(computed: float, printed: float, figures: int) -> bool:

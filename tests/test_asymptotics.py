@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,23 @@ def test_quartic_vieta_on_a_near_triple_cluster():
     a, b = 0.1, 2.0
     roots = asy.solve_quartic(QuarticProblem(a, b, 6.129627507605499e-06, 0.0, 1e-14))
     assert abs(sum(roots) + b / a) <= 1e-8 * max(1.0, abs(b / a))
+
+
+@pytest.mark.xfail(strict=True, reason="solve_quartic merges neighbouring roots at large k")
+def test_rho_quartic_roots_stay_apart_at_large_k():
+    # the +r_k quartic for k = 10^6 has the roots 1999999, 0.99999975,
+    # -1.00000025 and 5.0000025e-7; the closed form returns the tiny root
+    # twice and loses the one near 1
+    roots = asy.compute_rho(10**6).roots
+    assert all(abs(z - w) >= 1e-3 for i, z in enumerate(roots) for w in roots[i + 1 :])
+
+
+@pytest.mark.xfail(strict=True, reason="solve_quartic loses rho_k at large k")
+def test_rho_exists_at_k_ten_million():
+    # theta(z) is about z near 0, so rho_k is about r_k; from k = 10^7 the
+    # closed form loses the tiny root and compute_rho raises ValueError
+    k = 10**7
+    assert asy.compute_rho(k).rho == pytest.approx(1 / (2 * (k - 1)), rel=1e-6)
 
 
 def test_theta_values():
@@ -347,9 +365,11 @@ def test_scaled_count_accuracy():
 def test_scaled_count_past_float_range_is_refused():
     from crossing_count.structures import s_k3
 
-    for base, n in ((1e-300, 10), (1e-300, 2), (1e-100, 8)):
-        with pytest.raises(ValueError, match=f"base {base} and n = {n}"):
+    for base, n in ((1e-300, 10), (1e-300, 2), (1e-100, 8), (1e300, 10), (1e300, 2), (1e100, 8)):
+        with pytest.raises(ValueError, match=re.escape(f"base {base} and n = {n}")):
             asy.scaled_count(s_k3(3, n), base, n)
+    # a factor near the bottom of the normal floats still prints its digits
+    assert asy.scaled_count(s_k3(3, 10), 1e30, 10) == pytest.approx(1.145e-297, rel=1e-12)
 
 
 def test_estimate_kprime_small_run():

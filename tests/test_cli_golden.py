@@ -17,8 +17,10 @@ and six growth cases for k = 3, 4, 5 when 1/rho_k came to be correctly
 rounded and the singularity list to print the certified rho_k (see the
 file's "about" note).  Four roots cases with finite but widely spread
 coefficients (exit 2) were added when solve_quartic came to refuse them,
-and an asym and a table case whose --base scales the count past float
-range (exit 2) when scaled_count came to refuse that.
+an asym and a table case whose --base scales the count past float
+range (exit 2) when scaled_count came to refuse that, and an asym and a
+table case whose --base scales it below the normal floats (exit 2) when
+scaled_count came to refuse that too.
 """
 
 import json

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import partial_matchings
+from helpers import partial_matchings, shapes, tableaux
 from crossing_count import counting, oracle
 from crossing_count.oracle import (
     BudgetExceededError,
@@ -110,6 +111,30 @@ def test_state_bound_covers_the_search(k, min_len):
         spec = EnumSpec(n=n, max_crossing=k, min_arc_length=min_len, budget=10**9)
         _, _, states = oracle._search(spec)
         assert states <= state_bound(spec)
+
+
+@pytest.mark.parametrize(
+    ("n", "k", "states"), [(12, 3, 1_786), (12, 4, 2_778), (16, 3, 48_846)]
+)
+def test_search_state_count(n, k, states):
+    assert oracle._search(EnumSpec(n=n, max_crossing=k, min_arc_length=3))[2] == states
+
+
+@pytest.mark.parametrize(
+    ("n", "k", "bound"),
+    [(18, 3, 297_820), (19, 3, 701_171), (17, 4, 441_120), (18, 4, 1_251_781)],
+)
+def test_state_bound_values(n, k, bound):
+    spec = EnumSpec(n=n, max_crossing=k, min_arc_length=3, budget=10**9)
+    assert state_bound(spec) == bound
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_end_orders_match_the_hook_length_formula(k):
+    # RSK: the permutations of m with no increasing run of k, as the sum of
+    # squared tableaux counts over the shapes of m with rows shorter than k
+    expected = [sum(tableaux(s) ** 2 for s in shapes(m, k - 1)) for m in range(13)]
+    assert list(itertools.islice(oracle._end_orders(k), 13)) == expected
 
 
 @pytest.mark.parametrize("n", range(10))
