@@ -5,7 +5,8 @@
 tests/test_cli_golden.py calls cli.main in process, so it never runs the
 process entry point in crossing_count/__main__.py.  This script runs each
 case as its own child interpreter, with '{tmp}' replaced by a fresh
-temporary directory, and exits 1 if any stdout or exit code differs, or
+temporary directory and COLUMNS=80 (the terminal width the --help cases
+were captured at), and exits 1 if any stdout or exit code differs, or
 if a child reports an exception it could not raise ("Exception ignored
 in ..." on stderr, such as an unclosed file under PYTHONDEVMODE=1 with
 PYTHONWARNINGS=error).
@@ -14,6 +15,7 @@ PYTHONWARNINGS=error).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -24,12 +26,16 @@ GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "cli_golden.json"
 
 def main() -> int:
     cases = json.loads(GOLDEN.read_text())["cases"]
+    env = dict(os.environ, COLUMNS="80")
     failures = 0
     for case in cases:
         with tempfile.TemporaryDirectory() as tmp:
             argv = [arg.replace("{tmp}", tmp) for arg in case["argv"]]
             proc = subprocess.run(
-                [sys.executable, "-m", "crossing_count", *argv], capture_output=True, text=True
+                [sys.executable, "-m", "crossing_count", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
             )
         ignored = "Exception ignored" in proc.stderr
         if ignored or (proc.returncode, proc.stdout) != (case["exit"], case["stdout"]):

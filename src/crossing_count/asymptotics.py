@@ -30,8 +30,6 @@ estimate_kprime through it) import the counting layers, so solving a
 quartic or computing a growth constant loads neither.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import sys

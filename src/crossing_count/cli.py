@@ -19,17 +19,19 @@ given via --cache or the CROSSING_COUNT_CACHE environment variable; it
 is append-only, validated on load, and ignored with a warning when
 corrupt or unwritable, since every entry is re-derivable.
 
-This module holds the parser, main, the exit codes, the count cache and
-the output helpers the commands share.  Each subcommand's handler is its
-own module, crossing_count.commands.<name>, with run(args) -> int, and
-main imports only the one the parsed command names.  That module imports
+This module holds main, the command table, the exit codes, the count
+cache and the helpers the commands share.  Each subcommand's handler is
+its own module, crossing_count.commands.<name>, with
+add_arguments(parser), which declares its options, and run(args) -> int.
+When argv[0] names a command, main imports that one module and parses
+the rest of argv with a parser holding only its options; any other argv
+goes to the top-level parser of build_parser(), which knows the command
+names alone and only prints help or a usage error.  The handler imports
 the layers it runs (count loads only counting and structures, roots only
 asymptotics), and csv and json load only for their --format or the
-cache, so a command compiles and imports neither the other handlers nor
-the layers it skips.
+cache, so a command builds, compiles and imports neither the other
+handlers' parsers and code nor the layers it skips.
 """
-
-from __future__ import annotations
 
 import argparse
 import importlib
@@ -121,10 +123,10 @@ def open_cache(args) -> CountCache | None:
 
 
 def structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) -> int:
-    from . import structures
-
     value = None if cache is None else cache.get(k, n, ell)
     if value is None:
+        from . import structures
+
         value = structures.s_k3(k, n) if ell is None else structures.s_k3_by_isolated(k, n, ell)
         if cache is not None:
             cache.put(k, n, ell, value)
@@ -175,7 +177,18 @@ def fail_usage(message: str) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
+COMMANDS = {
+    "count": "exact structure count S_{k,3}(n)",
+    "table": "subexponential factor table for k = 3",
+    "growth": "radius, dominant singularity and growth rate",
+    "asym": "asymptotic vs exact subexponential factor at n",
+    "verify": "check the generating-function identities",
+    "oracle": "brute-force enumeration cross-check",
+    "roots": "solve a quartic A x^4 + B x^3 + C x^2 + D x + E",
+}
+
+
+def add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="output format"
     )
@@ -188,78 +201,29 @@ def _add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: the command table, for help and usage errors only."""
     parser = argparse.ArgumentParser(
         prog="crossing-count",
         description="Exact counts and growth constants of k-noncrossing "
         "structures with minimum arc length 3.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact structure count S_{k,3}(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None, help="fix the number of isolated vertices")
-    _add_common(p, cache=True)
-
-    p = sub.add_parser("table", help="subexponential factor table for k = 3")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--step", type=int, default=10)
-    p.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
-    p.add_argument(
-        "--computed-base",
-        action="store_true",
-        help="use the computed growth rate 1/rho_3 instead of --base",
-    )
-    p.add_argument("--digits", type=int, default=4, help="significant digits in text output")
-    _add_common(p, cache=True)
-
-    p = sub.add_parser("growth", help="radius, dominant singularity and growth rate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--n-max", type=int, default=None, help="ignored: r_k = 1/(2(k-1)) is exact for every k"
-    )
-    _add_common(p)
-
-    p = sub.add_parser("asym", help="asymptotic vs exact subexponential factor at n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
-    p.add_argument("--computed-base", action="store_true")
-    p.add_argument(
-        "--n-max", type=int, default=None, help="also estimate the prefactor limit up to n-max"
-    )
-    _add_common(p, cache=True)
-
-    p = sub.add_parser("verify", help="check the generating-function identities")
-    p.add_argument(
-        "--which",
-        choices=("laplace", "functional", "phi", "bessel", "all"),
-        default="all",
-    )
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--order", type=int, default=None, help="truncation order override")
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="brute-force enumeration cross-check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="forbidden crossing number")
-    p.add_argument("--min-arc", type=int, default=3)
-    p.add_argument("--by-isolated", action="store_true")
-    p.add_argument(
-        "--budget", type=int, default=None, help="bound on the search states (0 refuses every search)"
-    )
-    p.add_argument("--shuffle-seed", type=int, default=None, help="shuffle branch order")
-    _add_common(p)
-
-    p = sub.add_parser("roots", help="solve a quartic A x^4 + B x^3 + C x^2 + D x + E")
-    p.add_argument("coeffs", type=float, nargs=5, metavar="COEFF", help="A, B, C, D and E")
-    _add_common(p)
-
+    for name, summary in COMMANDS.items():
+        sub.add_parser(name, help=summary)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = importlib.import_module(f".commands.{args.command}", __package__)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in COMMANDS:
+        parser = build_parser()
+        parser.parse_args(argv)  # prints help or a usage error, and exits
+        parser.error("expected a command")
+    name = argv[0]
+    command = importlib.import_module(f".commands.{name}", __package__)
+    parser = argparse.ArgumentParser(prog=f"crossing-count {name}")
+    command.add_arguments(parser)
+    args = parser.parse_args(argv[1:], argparse.Namespace(command=name))
     try:
         return command.run(args)
     except ValueError as exc:

@@ -1,7 +1,10 @@
-"""One module per crossing-count subcommand, each with run(args) -> int.
+"""One module per crossing-count subcommand, each with
+add_arguments(parser), which declares the subcommand's options on an
+argparse parser, and run(args) -> int.
 
-cli.main parses the command line and then imports only the module that
-the subcommand names, so a command never compiles another's handler.
+cli.main imports only the module that argv[0] names and builds only its
+parser, so a command neither compiles another's handler nor builds
+another's options.
 A handler calls each layer through its module attribute
 (structures.s_k3(...)), so a wrapper installed on the layer sees the call.
 """

@@ -1,10 +1,18 @@
 """crossing-count asym: the asymptotic against the exact subexponential factor at n."""
 
-from __future__ import annotations
-
 import math
 
 from .. import asymptotics, cli
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
+    parser.add_argument("--computed-base", action="store_true")
+    parser.add_argument(
+        "--n-max", type=int, default=None, help="also estimate the prefactor limit up to n-max"
+    )
+    cli.add_common(parser, cache=True)
 
 
 def run(args) -> int:

@@ -1,8 +1,13 @@
 """crossing-count count: the exact structure count S_{k,3}(n)."""
 
-from __future__ import annotations
-
 from .. import cli
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--ell", type=int, default=None, help="fix the number of isolated vertices")
+    cli.add_common(parser, cache=True)
 
 
 def run(args) -> int:

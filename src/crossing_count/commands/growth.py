@@ -1,8 +1,14 @@
 """crossing-count growth: the radius r_k, rho_k, the growth rate and the singularities."""
 
-from __future__ import annotations
-
 from .. import asymptotics, cli
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument(
+        "--n-max", type=int, default=None, help="ignored: r_k = 1/(2(k-1)) is exact for every k"
+    )
+    cli.add_common(parser)
 
 
 def run(args) -> int:

@@ -1,8 +1,11 @@
 """crossing-count roots: the four roots of a quartic, with their residuals."""
 
-from __future__ import annotations
-
 from .. import asymptotics, cli
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("coeffs", type=float, nargs=5, metavar="COEFF", help="A, B, C, D and E")
+    cli.add_common(parser)
 
 
 def run(args) -> int:

@@ -1,8 +1,19 @@
 """crossing-count table: the exact and asymptotic subexponential factors for k = 3."""
 
-from __future__ import annotations
-
 from .. import asymptotics, cli
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--n-max", type=int, required=True)
+    parser.add_argument("--step", type=int, default=10)
+    parser.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
+    parser.add_argument(
+        "--computed-base",
+        action="store_true",
+        help="use the computed growth rate 1/rho_3 instead of --base",
+    )
+    parser.add_argument("--digits", type=int, default=4, help="significant digits in text output")
+    cli.add_common(parser, cache=True)
 
 
 def run(args) -> int:

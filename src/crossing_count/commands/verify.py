@@ -1,8 +1,17 @@
 """crossing-count verify: the generating-function identity checks."""
 
-from __future__ import annotations
-
 from .. import cli, powerseries
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument(
+        "--which",
+        choices=("laplace", "functional", "phi", "bessel", "all"),
+        default="all",
+    )
+    parser.add_argument("--k", type=int, default=3)
+    parser.add_argument("--order", type=int, default=None, help="truncation order override")
+    cli.add_common(parser)
 
 
 def _verification_reports(which: str, k: int, order: int | None):

@@ -25,8 +25,6 @@ in place under its own lock; counts are only appended, never changed,
 so concurrent callers always see the same values.
 """
 
-from __future__ import annotations
-
 import math
 import threading
 

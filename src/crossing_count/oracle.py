@@ -30,8 +30,6 @@ instances that are too large before any search, so a refusal is
 reproducible and never a partial count.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations

@@ -24,8 +24,6 @@ unit and the elimination stays integral.  fractions and numbers are
 imported only when a caller passes a coefficient that is not an int.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache

@@ -21,8 +21,6 @@ before the table grows.  All arithmetic is exact integer; despite the
 alternating signs every count is nonnegative.
 """
 
-from __future__ import annotations
-
 from . import counting
 
 # The lam table keeps about n^2/4 bigints, so rows past this one are refused

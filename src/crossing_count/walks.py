@@ -18,8 +18,6 @@ oracle of the recurrences and the source of the terms that
 scripts/derive_recurrences.py guesses them from.
 """
 
-from __future__ import annotations
-
 from .counting import GrowingTable
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -67,6 +68,20 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--n", "5"])  # missing --k
     assert exc.value.code == 2
+
+
+def test_top_level_parse_never_runs_a_handler(monkeypatch, capsys):
+    # argparse ends every parse of a non-command argv in help or an error;
+    # were one to return, main still exits 2 instead of running a command
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "parse_args",
+        lambda self, args=None, namespace=None: argparse.Namespace(command="count"),
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--", "count", "--k", "3", "--n", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_budget_refusal_exit_3(capsys):

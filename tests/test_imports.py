@@ -85,6 +85,23 @@ def test_command_loads_only_its_layers(command, baseline):
     assert not new & RATIONAL
 
 
+def test_command_help_loads_only_its_handler(baseline):
+    code = (
+        "import crossing_count.cli as cli\n"
+        "try: cli.main(['count', '--help'])\n"
+        "except SystemExit as exc: assert exc.code == 0"
+    )
+    assert _package(_loaded_by(code, baseline)) == {"cli", "commands", "commands.count"}
+
+
+def test_warm_cache_loads_no_counting_layer(baseline, tmp_path):
+    command = f"table --n-max 20 --cache {tmp_path / 'counts.csv'}"
+    _modules(_running(command))  # fills the cache
+    layers = _package(_loaded_by(_running(command), baseline))
+    assert "asymptotics" in layers
+    assert not layers & {"counting", "structures"}
+
+
 def test_walks_load_only_for_a_k_without_recurrence(baseline):
     on_recurrences = [f"count --k {k} --n 30" for k in range(3, 7)] + [
         f"verify --which all --k {k} --order 8" for k in range(3, 7)
