@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 refusal, and 141 (128 + SIGPIPE) from the process entry point,
 crossing_count.__main__.run, when the reader closed stdout early
 (after --help too).
-Ranges are checked where the library takes its arguments; the
-ValueError it raises is reported as a usage error.  A persistent count
+Ranges are checked where a handler or the library takes its arguments,
+and every ValueError raised there is a usage error.  A persistent count
 cache of structure counts (CSV: kind,k,n,ell,value, kind always S) can be
 given via --cache or the CROSSING_COUNT_CACHE environment variable; it
 is append-only, validated on load, and ignored with a warning when
@@ -168,11 +168,6 @@ def emit(fmt: str, payload: dict, records: list[dict], text: list[str]) -> None:
 
 def sci(x: float, digits: int) -> str:
     return f"{x:.{digits - 1}e}"
-
-
-def fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 # ---------------------------------------------------------------- parser

@@ -24,6 +24,9 @@ def run(args) -> int:
     count = cli.structure_count(3, args.n, None, cli.open_cache(args))
     exact = asymptotics.scaled_count(count, base, args.n)
     asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
+    ratio = None if asym is None else exact / asym
+    if ratio is not None and not 5e-7 <= ratio < math.inf:  # .6f shows no digit below 5e-7
+        raise ValueError(f"exact / asymptotic factor {ratio:.3g} at n = {args.n} is not printable")
     payload = {
         "n": args.n,
         "base": f"{base:.10g}",
@@ -34,7 +37,7 @@ def run(args) -> int:
         "asymptotic_count_log10": (
             None if asym is None else f"{math.log10(asym) + args.n * math.log10(base):.6f}"
         ),
-        "ratio": None if asym is None else f"{exact / asym:.6f}",
+        "ratio": None if ratio is None else f"{ratio:.6f}",
     }
     if args.n_max is not None:
         if report is None:

@@ -18,9 +18,9 @@ def add_arguments(parser) -> None:
 
 def run(args) -> int:
     if args.step < 1 or args.n_max < args.step:
-        return cli.fail_usage(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
+        raise ValueError(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
     if args.digits < 1:
-        return cli.fail_usage(f"table needs --digits >= 1, got {args.digits}")
+        raise ValueError(f"table needs --digits >= 1, got {args.digits}")
     base = cli.base(args)
     cache = cli.open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]

@@ -35,9 +35,9 @@ def _verification_reports(which: str, k: int, order: int | None):
 
 def run(args) -> int:
     if args.k < 3:
-        return cli.fail_usage(f"verify needs --k >= 3, got {args.k}")
+        raise ValueError(f"verify needs --k >= 3, got {args.k}")
     if args.order is not None and args.order < 1:
-        return cli.fail_usage(f"verify needs --order >= 1, got {args.order}")
+        raise ValueError(f"verify needs --order >= 1, got {args.order}")
     reports = _verification_reports(args.which, args.k, args.order)
     ok = all(r.ok for r in reports)
     checks = [

@@ -9,18 +9,19 @@ product of two series is one big-integer product (Kronecker
 substitution, after clearing a common denominator), so no product
 loops over pairs of coefficients in Python.  Composition is
 Paterson-Stockmeyer: about 2 sqrt(N) products, where Horner's rule
-takes N.  A HurwitzSeries stores an exponential generating function by
-its integer coefficients n! [x^n]; its products are binomial
-convolutions, done as one Kronecker product with factorial weights and
-an exact division.  Both rings invert a series by the one Newton
-iteration, _newton_inverse, each with its own truncated product.
+takes N.  A HurwitzSeries is a TruncatedSeries that stores an
+exponential generating function by its integer coefficients n! [x^n];
+only its product differs, a binomial convolution done as one Kronecker
+product with factorial weights and an exact division, so both rings
+share the ring code and the one Newton inversion, _newton_inverse.
 
 The verify_* functions rebuild both sides of the generating-function
 identities that tie the structure counts to the matching counts and
 report the first coefficient where the two sides disagree, if any.  All
 of them run on plain integers: the Bessel determinant in the Hurwitz
 ring, where its matrix is the identity at x = 0, so every pivot is a
-unit and the elimination stays integral.  fractions and numbers are
+unit and the elimination stays integral.  The phi sides of one order
+are a PhiSides table, one product per shift.  fractions and numbers are
 imported only when a caller passes a coefficient that is not an int.
 """
 
@@ -150,9 +151,12 @@ class TruncatedSeries:
 
     Coefficients must be exact (numbers.Rational: int or Fraction); any
     other value raises TypeError, so a float can never enter a series.
+    Arithmetic builds type(self), and a product is the class's _product,
+    so a subclass that changes only the product is another ring.
     """
 
     __slots__ = ("order", "coeffs")
+    _product = staticmethod(_ordinary_product)
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
@@ -188,10 +192,10 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return type(self) is type(other) and self.coeffs == other.coeffs  # same length, same order
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({self.coeffs!r})"
+        return f"{type(self).__name__}({self.coeffs!r})"
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -199,21 +203,17 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+        return type(self)([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+        return type(self)([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):  # a scalar
-            return TruncatedSeries([c * other for c in self.coeffs], self.order)
+            return type(self)([c * other for c in self.coeffs], self.order)
         self._check_order(other)
-        return TruncatedSeries(_ordinary_product(self.coeffs, other.coeffs, self.order + 1), self.order)
+        return type(self)(self._product(self.coeffs, other.coeffs, self.order + 1), self.order)
 
     __rmul__ = __mul__
 
@@ -228,7 +228,7 @@ class TruncatedSeries:
             from fractions import Fraction
 
             r0 = 1 / Fraction(a[0])
-        return TruncatedSeries(_newton_inverse(a, self.order, r0, _ordinary_product), self.order)
+        return type(self)(_newton_inverse(a, self.order, r0, self._product), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner); inner must have zero constant term.
@@ -293,43 +293,23 @@ def _binomial_convolution(a: list[int], b: list[int], length: int, shift: int = 
     return [c // (weights[0] * w) for c, w in zip(product, weights[shift:])]
 
 
-class HurwitzSeries:
+class HurwitzSeries(TruncatedSeries):
     """Integer exponential generating function modulo x^(order+1), stored
-    as its coefficients n! [x^n].
+    as its coefficients n! [x^n]: a ring under the binomial convolution
+    (a b)[n] = sum_i C(n, i) a[i] b[n-i], where a unit has constant term
+    1 or -1.  Only the product differs from a TruncatedSeries, and there
+    is no composition."""
 
-    Such series form a ring under the binomial convolution
-    (a b)[n] = sum_i C(n, i) a[i] b[n-i], and one is a unit there iff its
-    constant term is 1 or -1; determinant needs only -, *, reciprocal and
-    one from it, as from a TruncatedSeries.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: list[int], order: int):
-        self.order = order
-        self.coeffs = coeffs[: order + 1] + [0] * (order + 1 - len(coeffs))
-
-    @classmethod
-    def one(cls, order: int) -> "HurwitzSeries":
-        return cls([1], order)
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __sub__(self, other: "HurwitzSeries") -> "HurwitzSeries":
-        return HurwitzSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __mul__(self, other: "HurwitzSeries") -> "HurwitzSeries":
-        return HurwitzSeries(
-            _binomial_convolution(self.coeffs, other.coeffs, self.order + 1), self.order
-        )
+    __slots__ = ()
+    _product = staticmethod(_binomial_convolution)
 
     def reciprocal(self) -> "HurwitzSeries":
-        """Series r with self * r = 1 modulo x^(order+1), by _newton_inverse."""
-        a = self.coeffs
-        if a[0] not in (1, -1):
+        if self.coeffs[0] not in (1, -1):
             raise ValueError("Hurwitz reciprocal needs a constant term of 1 or -1")
-        return HurwitzSeries(_newton_inverse(a, self.order, a[0], _binomial_convolution), self.order)
+        return super().reciprocal()
+
+    def compose(self, inner):
+        raise TypeError("a HurwitzSeries has no composition")
 
 
 def bessel_matrix(k: int, order: int) -> list[list[HurwitzSeries]]:
@@ -456,27 +436,21 @@ def verify_functional_equation(k: int, order: int) -> IdentityReport:
     )
 
 
-# order -> (phi0, ratio, n, phi0 ratio^n), the right side of the phi
-# identity built last for that order.  Each entry is replaced whole, so
-# concurrent callers never see a torn one.
-_phi_last: dict[int, tuple[TruncatedSeries, TruncatedSeries, int, TruncatedSeries]] = {}
+class PhiSides(counting.GrowingTable):
+    """phi0 ratio^n for n = 0, 1, ..., modulo x^(order+1): phi0 =
+    1/(1-x-x^2) and ratio = (1+x) phi0, one product per step."""
 
-
-def _phi_side(n: int, order: int) -> TruncatedSeries:
-    """phi0 ratio^n, phi0 = 1/(1-x-x^2) and ratio = (1+x) phi0: one product
-    per shift up from the last side built at this order, or from phi0
-    when n is below its shift."""
-    last = _phi_last.get(order)
-    if last is None:
+    def __init__(self, order: int):
         phi0 = TruncatedSeries([1, -1, -1], order).reciprocal()
-        last = (phi0, TruncatedSeries([1, 1], order) * phi0, 0, phi0)
-    phi0, ratio, shift, side = last
-    if n < shift:
-        shift, side = 0, phi0
-    for _ in range(n - shift):
-        side = side * ratio
-    _phi_last[order] = (phi0, ratio, n, side)
-    return side
+        super().__init__([phi0])
+        self._ratio = TruncatedSeries([1, 1], order) * phi0
+
+    def _step(self) -> None:
+        self._terms.append(self._terms[-1] * self._ratio)
+
+
+# order -> the phi sides at that order, each table made once
+_phi_sides: dict[int, PhiSides] = {}
 
 
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
@@ -484,7 +458,8 @@ def verify_phi_identity(n: int, order: int) -> IdentityReport:
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
     lhs = _sequence(lambda shift, b: structures.lambda_weight(shift + 2 * b, b), n, order)
-    return _compare(f"phi(n={n})", lhs, _phi_side(n, order))
+    sides = _phi_sides.get(order) or _phi_sides.setdefault(order, PhiSides(order))
+    return _compare(f"phi(n={n})", lhs, sides.value(n))
 
 
 def verify_bessel_egf(k: int, order: int) -> IdentityReport:

@@ -70,6 +70,20 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("table --n-max 5 --step 10", "need n_max >= step >= 1, got n_max=5, step=10"),
+        ("table --n-max 10 --digits 0", "table needs --digits >= 1, got 0"),
+        ("verify --k 2", "verify needs --k >= 3, got 2"),
+        ("verify --order 0", "verify needs --order >= 1, got 0"),
+    ],
+)
+def test_handler_usage_errors_keep_their_messages(capsys, argv, message):
+    # each handler raises ValueError, which main prints as one error line
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_top_level_parse_never_runs_a_handler(monkeypatch, capsys):
     # argparse ends every parse of a non-command argv in help or an error;
     # were one to return, main still exits 2 instead of running a command

@@ -24,7 +24,9 @@ scaled_count came to refuse that too.  The top-level and per-command
 --help pages and one unrecognised argument (exit 2) were added before
 each command came to build only its own parser; help wraps to the
 terminal width, so every case runs with COLUMNS=80, the width they were
-captured at.
+captured at.  Two asym cases whose ratio of exact to asymptotic factor
+has no digit at 6 decimals (below 5e-7, and inf), each in text and json
+(exit 2), were added when asym came to refuse such a ratio.
 """
 
 import json

@@ -264,6 +264,15 @@ def test_hurwitz_reciprocal_refuses_a_non_unit():
         HurwitzSeries([2, 1], 4).reciprocal()
 
 
+def test_hurwitz_series_is_its_own_ring():
+    hurwitz, ordinary = HurwitzSeries([1, 1, 2], 2), TruncatedSeries([1, 1, 2], 2)
+    with pytest.raises(TypeError, match="no composition"):
+        hurwitz.compose(HurwitzSeries.x(2))
+    assert hurwitz != ordinary and ordinary != hurwitz
+    assert hurwitz == HurwitzSeries([1, 1, 2], 2)
+    assert repr(hurwitz) == "HurwitzSeries([1, 1, 2])"
+
+
 def _ordinary(h: HurwitzSeries) -> TruncatedSeries:
     """The power series whose n! [x^n] are h's coefficients."""
     return TruncatedSeries([Fraction(c, math.factorial(n)) for n, c in enumerate(h.coeffs)], h.order)
@@ -297,9 +306,9 @@ def test_phi_identity_orders():
 
 
 def test_phi_side_at_any_shift_order(monkeypatch):
-    # up by one, repeated, down, a jump: each side equals phi0 ratio^n,
-    # and the cache keeps one side per order
-    monkeypatch.setattr(ps, "_phi_last", {})
+    # up by one, repeated, down, a jump: each side equals phi0 ratio^n, and
+    # each order has one table, grown to the largest shift asked
+    monkeypatch.setattr(ps, "_phi_sides", {})
     order = 18
     phi0 = ps.TruncatedSeries([1, -1, -1], order).reciprocal()
     ratio = ps.TruncatedSeries([1, 1], order) * phi0
@@ -307,9 +316,10 @@ def test_phi_side_at_any_shift_order(monkeypatch):
         side = phi0
         for _ in range(n):
             side = side * ratio
-        assert ps._phi_side(n, order) == side
         assert ps.verify_phi_identity(n, order).ok
-    assert list(ps._phi_last) == [order]
+        assert ps._phi_sides[order].value(n) == side
+    assert list(ps._phi_sides) == [order]
+    assert ps._phi_sides[order].max_n == 8
 
 
 def test_both_rings_invert_by_the_one_newton_iteration(monkeypatch):
