@@ -23,17 +23,21 @@ This module holds main, the command table, the exit codes, the count
 cache and the helpers the commands share.  Each subcommand's handler is
 its own module, crossing_count.commands.<name>, with
 add_arguments(parser), which declares its options, and run(args) -> int.
-When argv[0] names a command, main imports that one module and parses
-the rest of argv with a parser holding only its options; any other argv
-goes to the top-level parser of build_parser(), which knows the command
-names alone and only prints help or a usage error.  The handler imports
-the layers it runs (count loads only counting and structures, roots only
-asymptotics), and csv and json load only for their --format or the
-cache, so a command builds, compiles and imports neither the other
-handlers' parsers and code nor the layers it skips.
+When argv[0] names a command, main imports that one module and records
+its options in a commands.Options, whose read() parses a well-formed
+argv without importing argparse.  Only when read() declines (--help, a
+usage error, or a form only argparse accepts, such as --k=3) does main
+import argparse and replay the recorded options on a parser of their
+own, so help, error messages and exit codes are argparse's.  Any other
+argv goes to the top-level parser of build_parser(), which knows the
+command names alone and only prints help or a usage error.  The handler
+imports the layers it runs (count loads only counting and structures,
+roots only asymptotics), and csv and json load only for their --format
+or the cache, so a command compiles and imports neither the other
+handlers' code nor the layers it skips, and a well-formed command line
+imports no argparse.
 """
 
-import argparse
 import importlib
 import math
 import os
@@ -183,7 +187,7 @@ COMMANDS = {
 }
 
 
-def add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
+def add_common(parser, cache: bool = False) -> None:
     parser.add_argument(
         "--format", choices=("text", "csv", "json"), default="text", help="output format"
     )
@@ -195,8 +199,11 @@ def add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser: the command table, for help and usage errors only."""
+def build_parser():
+    """The top-level argparse parser: the command table, for help and usage
+    errors only."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="crossing-count",
         description="Exact counts and growth constants of k-noncrossing "
@@ -216,9 +223,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("expected a command")
     name = argv[0]
     command = importlib.import_module(f".commands.{name}", __package__)
-    parser = argparse.ArgumentParser(prog=f"crossing-count {name}")
-    command.add_arguments(parser)
-    args = parser.parse_args(argv[1:], argparse.Namespace(command=name))
+    from .commands import Options
+
+    options = Options()
+    command.add_arguments(options)
+    args = options.read(argv[1:])
+    if args is None:  # help, a usage error, or a form only argparse reads
+        import argparse
+
+        parser = argparse.ArgumentParser(prog=f"crossing-count {name}")
+        for names, kw in options.calls:
+            parser.add_argument(*names, **kw)
+        args = parser.parse_args(argv[1:])
     try:
         return command.run(args)
     except ValueError as exc:

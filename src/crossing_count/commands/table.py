@@ -21,6 +21,8 @@ def run(args) -> int:
         raise ValueError(f"need n_max >= step >= 1, got n_max={args.n_max}, step={args.step}")
     if args.digits < 1:
         raise ValueError(f"table needs --digits >= 1, got {args.digits}")
+    if args.digits > 17:  # a double carries at most 17 significant digits
+        raise ValueError(f"table needs --digits <= 17, got {args.digits}")
     base = cli.base(args)
     cache = cli.open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]

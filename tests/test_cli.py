@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import importlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import package_env
-from crossing_count import cli, counting, powerseries, structures
+from crossing_count import cli, commands, counting, powerseries, structures
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
 
@@ -75,6 +80,7 @@ def test_usage_errors_exit_2(capsys):
     [
         ("table --n-max 5 --step 10", "need n_max >= step >= 1, got n_max=5, step=10"),
         ("table --n-max 10 --digits 0", "table needs --digits >= 1, got 0"),
+        ("table --n-max 10 --digits 18", "table needs --digits <= 17, got 18"),
         ("verify --k 2", "verify needs --k >= 3, got 2"),
         ("verify --order 0", "verify needs --order >= 1, got 0"),
     ],
@@ -82,6 +88,91 @@ def test_usage_errors_exit_2(capsys):
 def test_handler_usage_errors_keep_their_messages(capsys, argv, message):
     # each handler raises ValueError, which main prints as one error line
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def _declared(name: str) -> commands.Options:
+    options = commands.Options()
+    importlib.import_module(f"crossing_count.commands.{name}").add_arguments(options)
+    return options
+
+
+def _argparse_vars(options: commands.Options, argv: list[str]) -> dict | None:
+    """What argparse parses argv into, or None where it exits (help or an error)."""
+    parser = argparse.ArgumentParser(prog="crossing-count")
+    for names, kw in options.calls:
+        parser.add_argument(*names, **kw)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# values of each type that read() and argparse take, then negative, empty,
+# non-numeric and out-of-choice ones (no nan, which equals no other nan)
+GOOD = {int: ("0", "3", "12"), float: ("1.5", "4.5", "inf"), None: ("x", "")}
+BAD = ("-1", "-2.5", "-x", "", "x", "three", "1.5", "js")
+
+
+def _argvs(options: commands.Options):
+    """Argvs of declared options with good values, each required option
+    mostly given, mixed with up to two odd pieces: -h, --help, --, a stray
+    value, an option with a bad value or none, an abbreviation or an '='
+    form.  Repeats come by chance."""
+    declared = {names[0]: kw for names, kw in options.calls}
+
+    def good(name: str):
+        kw = declared[name]
+        if "action" in kw:
+            return st.just([name])
+        values = kw.get("choices") or GOOD[kw.get("type")]
+        return st.sampled_from(values).map(lambda value: [name, value])
+
+    name = st.sampled_from(sorted(declared))
+    odd = st.one_of(
+        st.sampled_from((["-h"], ["--help"], ["--"], ["3"], ["-1"])),
+        st.tuples(name, st.sampled_from(BAD)).map(list),
+        name.map(lambda n: [n]),
+        name.map(lambda n: [n[:-1]]),
+        st.tuples(name, st.sampled_from(BAD + GOOD[int])).map(lambda nv: ["=".join(nv)]),
+    )
+    required = [good(n) for n, kw in declared.items() if kw.get("required")]
+    return st.tuples(
+        st.tuples(*(st.one_of(piece, piece, piece, st.just([])) for piece in required)),
+        st.lists(name.flatmap(good), max_size=4),
+        st.lists(odd, max_size=2),
+        st.randoms(use_true_random=False),
+    ).map(_shuffled)
+
+
+def _shuffled(drawn) -> list[str]:
+    required, optional, odd, rng = drawn
+    pieces = [*required, *optional, *odd]
+    rng.shuffle(pieces)
+    return [token for piece in pieces for token in piece]
+
+
+ARGVS = {name: _argvs(_declared(name)) for name in cli.COMMANDS}
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_read_is_argparse_or_declines(name, data):
+    # read() either parses argv as argparse does or leaves it to argparse,
+    # and it always leaves to argparse an argv that argparse rejects
+    options = _declared(name)
+    argv = data.draw(ARGVS[name])
+    read = options.read(argv)
+    assert read is None or vars(read) == _argparse_vars(options, argv)
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_no_typed_option_has_a_string_default(name):
+    # argparse passes a string default through the option's type; read()
+    # takes every default as declared
+    for _, kw in _declared(name).calls:
+        assert not ("type" in kw and isinstance(kw.get("default"), str))
 
 
 def test_top_level_parse_never_runs_a_handler(monkeypatch, capsys):

@@ -26,7 +26,13 @@ each command came to build only its own parser; help wraps to the
 terminal width, so every case runs with COLUMNS=80, the width they were
 captured at.  Two asym cases whose ratio of exact to asymptotic factor
 has no digit at 6 decimals (below 5e-7, and inf), each in text and json
-(exit 2), were added when asym came to refuse such a ratio.
+(exit 2), were added when asym came to refuse such a ratio.  An '='
+form, an abbreviation, a repeated option, a negative value and a bad
+choice, all but the repeated option read by argparse alone, and
+'table --digits 17' were captured before a well-formed argv came to be
+read without argparse;
+'table --digits 18' (exit 2) was added when table came to refuse more
+significant digits than a double carries.
 """
 
 import json

@@ -21,6 +21,8 @@ REPORT = f"import sys; print({MARKER!r}); print('\\n'.join(sorted(sys.modules)))
 HEAVY = {"dataclasses", "fractions", "csv", "json"}
 # what `import fractions` loads: every count, check and constant is on ints
 RATIONAL = {"fractions", "decimal", "numbers"}
+# argparse and what its first use loads: only --help and usage errors need them
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def _modules(code: str) -> set[str]:
@@ -83,6 +85,15 @@ def test_command_loads_only_its_layers(command, baseline):
     assert _package(new) == {"cli"} | handler | LAYERS[command]
     assert "dataclasses" not in new
     assert not new & RATIONAL
+    # Options.read parses every option form here; roots' coefficients are
+    # positionals, which only argparse reads
+    assert bool(new & ARGPARSE) == command.startswith("roots")
+
+
+def test_help_and_usage_errors_load_argparse(baseline):
+    for argv in (["count", "--help"], ["count", "--k", "three", "--n", "5"]):
+        code = f"import crossing_count.cli as cli\ntry: cli.main({argv!r})\nexcept SystemExit: pass"
+        assert "argparse" in _loaded_by(code, baseline)
 
 
 def test_command_help_loads_only_its_handler(baseline):
