@@ -3,8 +3,9 @@ with minimum arc length 3.
 
 Counting is exact (arbitrary-precision integers), generating-function
 identities are verified with exact integer series, and the growth
-constants come from closed-form quartic solving plus Newton refinement,
-with rho_k and 1/rho_k rounded once from exact integer arithmetic.
+constants rho_k and 1/rho_k are the floats nearest the roots of an
+integer quartic, by bisection with exact integer signs; the other
+quartic roots come from the closed form plus Newton refinement.
 
 Importing the package loads none of its modules, so each CLI command
 starts with only the layers it runs.  It defines BudgetExceededError,

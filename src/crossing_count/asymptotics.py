@@ -6,24 +6,24 @@ radius of convergence of sum f_k(2n,0) z^(2n), exactly 1/(2(k-1)) since
 f_k(2n,0) ~ c_k n^(-((k-1)^2 + (k-1)/2)) (2(k-1))^(2n) (Grabiner &
 Magyar 1993; Chen, Deng, Du, Stanley & Yan 2007).  Clearing
 theta(z) = r_k gives a quartic, z^4 - 5z^3 - z^2 + 5z - 1 for k = 3,
-whose smallest real root in (0, 0.7) is rho_k.  For k = 3 the
+whose only root in [r_k/2, 1/2] is rho_k.  For k = 3 the
 subexponential factor is K' * 4! / (n(n-1)(n-2)(n-3)(n-4)) with the
 paper's printed K' = 6.11170, a finite-n value: the exact sequence
 kprime(n) crosses it at n = 421 and converges to the singular-expansion
 constant (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545, which follows from
 f_3(2m,0) ~ (24/pi) 16^m / m^5 through the radius map.
 
-Quartics are solved in closed form (depressed quartic plus resolvent
-cubic) with complex arithmetic throughout, then every root is polished
-by Newton iteration on the original polynomial; double precision plus
-that refinement is enough for all the constants handled here, whose
-reference values carry at most 1e-5 accuracy.  rho_k and 1/rho_k are
-then each rounded to the nearest float: one Newton step on plain
-integers from the float root (a float and r_k are both exact integer
-ratios), rounded once by int / int true division, and certified by a
-sign change of the quartic, evaluated on integers, across the half-ulp
-neighbours of the printed value (for 1/rho_k, at their reciprocals).
-So no command that reports a growth constant imports fractions.
+rho_k and 1/rho_k are each the float nearest the root, found by
+bisection over the floats with every sign taken exactly on integers (a
+float is an integer ratio, and the cleared quartic has integer
+coefficients); 1/rho_k is bisected on the reversed quartic, whose roots
+are the reciprocals, so no float solver is on that path and no command
+that reports a growth constant imports fractions.  The other roots, for
+`roots` and growth's list of induced singularities, are solved in closed
+form (depressed quartic plus resolvent cubic) with complex arithmetic
+throughout, then polished by Newton iteration on the original
+polynomial; double precision plus that refinement is enough for the
+listed values, whose reference values carry at most 1e-5 accuracy.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -31,6 +31,7 @@ quartic or computing a growth constant loads neither.
 """
 
 import cmath
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -237,88 +238,81 @@ def estimate_rk(k: int, n_max: int) -> float:
     return seq[-1][1]
 
 
-class GrowthReport(namedtuple("GrowthReport", "k radius rho growth_rate residual roots")):
+class GrowthReport(namedtuple("GrowthReport", "k radius rho growth_rate residual")):
     """Dominant singularity rho and growth rate 1/rho for one crossing
-    bound k, with the radius r_k as a float, the residual |theta(rho) - r_k|
-    and the four roots of the cleared quartic."""
+    bound k, with the radius r_k as a float and the residual
+    |theta(rho) - r_k|."""
 
     __slots__ = ()
 
 
-def _clearing_coefficients(num: int, den: int) -> tuple[float, float, float, float, float]:
-    # (z - z^3) - r*(1 - z + z^2 + z^3 - z^4) for r = num/den, highest degree
-    # first, each coefficient rounded once
-    return (num / den, -(den + num) / den, -num / den, (den + num) / den, -num / den)
+def _cleared(num: int, den: int) -> tuple[int, int, int, int, int]:
+    """den * ((z - z^3) - r (1 - z + z^2 + z^3 - z^4)) for r = num/den, as
+    integer coefficients, highest degree first."""
+    return (num, -(den + num), -num, den + num, -num)
 
 
-def _cleared(p: int, q: int, num: int, den: int) -> int:
-    """den q^4 times the cleared quartic at p/q for r = num/den: with
-    q, den > 0, an integer of the quartic's sign there."""
-    p2, q2 = p * p, q * q
-    return den * (p * q * q2 - p * p2 * q) - num * (q2 * q2 - p * q * q2 + p2 * q2 + p * p2 * q - p2 * p2)
+def _value(coeffs, p: int, q: int) -> int:
+    """q^d P(p/q) for P of degree d: with q > 0, an integer of P's sign at p/q."""
+    value, power = 0, 1
+    for c in coeffs:
+        value = value * p + c * power
+        power *= q
+    return value
 
 
-def _half_ulp_neighbours(x: float) -> list[tuple[int, int]]:
-    """The points half an ulp below and above x, as (numerator, denominator)."""
-    a, b = x.as_integer_ratio()
-    out = []
-    for toward in (-math.inf, math.inf):
-        c, d = math.nextafter(x, toward).as_integer_ratio()
-        out.append((a * d + c * b, 2 * b * d))
-    return out
+def _nearest_float_root(coeffs, lo: float, hi: float) -> float:
+    """The float nearest the one root of an integer polynomial in (lo, hi).
 
-
-def _correctly_rounded_root(z: float, num: int, den: int) -> tuple[float, float]:
-    """The floats nearest the root of the cleared quartic next to z and
-    nearest its reciprocal, for r = num/den with den > 0.
-
-    One Newton step on integers from the float root z = p/q gives the
-    exact ratio x = (p S - C) / (q S), with C and S the quartic and its
-    slope at z times den q^4 and den q^3; int / int true division rounds
-    x and 1/x once each.  Both are then certified: the quartic must
-    change sign between the half-ulp neighbours of the rounded root, and
-    between the reciprocals of those of the rounded reciprocal, else
-    ArithmeticError.
+    coeffs are integers, highest degree first, and P must change sign
+    between lo and hi, else ValueError.  Bisection over the floats, with
+    each sign taken exactly on integers at p/q = x.as_integer_ratio(),
+    ends at two adjacent floats; the sign at their exact midpoint says
+    which is nearer (a root exactly there goes to hi).
     """
-    p, q = z.as_integer_ratio()
-    p2, q2 = p * p, q * q
-    slope = den * (q * q2 - 3 * p2 * q) - num * (-q * q2 + 2 * p * q2 + 3 * p2 * q - 4 * p * p2)
-    top, bottom = p * slope - _cleared(p, q, num, den), q * slope
-    root, reciprocal = top / bottom, bottom / top
 
-    def brackets(lo: tuple[int, int], hi: tuple[int, int]) -> bool:
-        return _cleared(*lo, num, den) * _cleared(*hi, num, den) < 0
+    def value(x: float) -> int:
+        return _value(coeffs, *x.as_integer_ratio())
 
-    (e, f), (g, h) = _half_ulp_neighbours(reciprocal)
-    if not (brackets(*_half_ulp_neighbours(root)) and brackets((f, e), (h, g))):
-        raise ArithmeticError(f"root near {z} not certified to the nearest float")
-    return root, reciprocal
-
-
-def _dominant_index(roots: list[complex]) -> int:
-    """Index of the smallest real root in (0, 0.7), taking |imag| <= 1e-8 as real."""
-    real = [i for i, z in enumerate(roots) if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
-    if not real:
-        raise ValueError("no real root in (0, 0.7)")
-    return min(real, key=lambda i: roots[i].real)
+    below = value(lo)
+    if below * value(hi) >= 0:
+        raise ValueError(f"no sign change of {coeffs} between {lo!r} and {hi!r}")
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if value(mid) * below > 0:
+            lo = mid
+        else:
+            hi = mid
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return lo if _value(coeffs, a * d + c * b, 2 * b * d) * below < 0 else hi
 
 
+@functools.cache
 def compute_rho(k: int) -> GrowthReport:
     """Smallest positive real solution of theta(z) = r_k, r_k = 1/(2(k-1)).
 
-    The cleared quartic (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) = 0 is
-    solved in closed form, whose roots come Newton-polished; rho is the
-    smallest real one in (0, 0.7), and rho and the growth rate 1/rho are
-    each rounded to the nearest float with integer arithmetic on r_k as
-    the pair 1, 2(k-1).
+    rho_k is the float nearest the root of the cleared quartic
+    (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) in [r_k/2, 1/2], and the
+    growth rate the float nearest the root of the reversed quartic, whose
+    roots are the reciprocals, in [2, 2/r_k]; both by exact bisection.
+    Each bracket holds one root and no other: the numerator of theta' is
+    1 - 4z^2 + 2z^4 - z^6 = (1 - 4z^2) + z^4 (2 - z^2), positive on
+    [0, 1/2], so theta increases there, up to theta(1/2) = 6/13 > r_k;
+    and u(z) >= 1 - z gives theta(z) <= (8/7) z for z <= 1/8, so
+    theta(r_k/2) < r_k.  u > 0 there, so the quartic u (theta - r_k)
+    has the roots of theta = r_k.  A k whose 2/r_k is past half the
+    float range raises ValueError.  The result is cached, as rho_3
+    serves several K' values in one command.
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
-    num, den = 1, 2 * (k - 1)
-    roots = solve_quartic(QuarticProblem(*_clearing_coefficients(num, den)))
-    rho, growth_rate = _correctly_rounded_root(roots[_dominant_index(roots)].real, num, den)
-    r_k = num / den
-    return GrowthReport(k, r_k, rho, growth_rate, abs(theta(rho) - r_k), tuple(roots))
+    den = 2 * (k - 1)
+    if 4 * den > sys.float_info.max:  # so the bisection's lo + hi stays finite
+        raise ValueError(f"the growth rate's bracket [2, 4(k-1)] nears float overflow for k = {k}")
+    quartic = _cleared(1, den)
+    rho = _nearest_float_root(quartic, 1 / (2 * den), 0.5)
+    growth_rate = _nearest_float_root(quartic[::-1], 2.0, float(2 * den))
+    r_k = 1 / den
+    return GrowthReport(k, r_k, rho, growth_rate, abs(theta(rho) - r_k))
 
 
 def singularities_for_radius(report: GrowthReport) -> list[complex]:
@@ -326,13 +320,21 @@ def singularities_for_radius(report: GrowthReport) -> list[complex]:
 
     These are the singularities the radius map induces from the pair of
     dominant singularities +-r_k; for k = 3 they are the roots of
-    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  The +r_k half
-    is report.roots with the certified rho in place of the closed-form root
-    it rounds; only the -r_k quartic is solved, from the exact pair -1, 2(k-1).
+    z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  Both
+    quartics are solved in closed form, from the exact pairs +-1, 2(k-1),
+    and the smallest real root of the +r_k one in (0, 0.7), taking
+    |imag| <= 1e-8 as real, is replaced by report.rho; if the closed form
+    lost that root, as at k = 10^7, ValueError.
     """
-    plus = list(report.roots)
-    plus[_dominant_index(plus)] = complex(report.rho, 0.0)
-    return plus + solve_quartic(QuarticProblem(*_clearing_coefficients(-1, 2 * (report.k - 1))))
+    den = 2 * (report.k - 1)
+    plus, minus = (
+        solve_quartic(QuarticProblem(*(c / den for c in _cleared(num, den)))) for num in (1, -1)
+    )
+    real = [i for i, z in enumerate(plus) if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
+    if not real:
+        raise ValueError(f"the float quartic solver lost the root at rho_k = {report.rho!r}")
+    plus[min(real, key=lambda i: plus[i].real)] = complex(report.rho, 0.0)
+    return plus + minus
 
 
 def _falling_factorial(n: int) -> int:

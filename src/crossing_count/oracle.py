@@ -32,7 +32,6 @@ reproducible and never a partial count.
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import combinations
 from math import comb, factorial
 
 from . import BudgetExceededError  # re-exported: the oracle raises it too
@@ -41,26 +40,6 @@ from . import BudgetExceededError  # re-exported: the oracle raises it too
 # a 2-vCPU VM) and --n 17 --k 4 (441 120, 2.3-2.8 s); refuses --n 19 --k 3
 # (701 171) at once
 DEFAULT_BUDGET = 5 * 10**5
-
-
-class Diagram(namedtuple("Diagram", "n arcs")):
-    """Vertices 1..n plus a frozenset of arcs (i, j), i < j, degrees <= 1."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        seen: set[int] = set()
-        for i, j in self.arcs:
-            if not 1 <= i < j <= self.n:
-                raise ValueError(f"arc ({i}, {j}) out of range for n={self.n}")
-            if i in seen or j in seen:
-                raise ValueError(f"vertex of degree > 1 in arcs {sorted(self.arcs)}")
-            seen.update((i, j))
-
-    def mirror(self) -> "Diagram":
-        """Relabel i -> n+1-i; crossing structure is preserved."""
-        m = self.n + 1
-        return Diagram(self.n, frozenset((m - j, m - i) for i, j in self.arcs))
 
 
 class EnumSpec(
@@ -85,30 +64,6 @@ class EnumSpec(
             raise ValueError(f"crossing bound must be >= 2, got {self.max_crossing}")
         if self.budget < 0:
             raise ValueError(f"budget must be nonnegative, got {self.budget}")
-
-
-def arcs_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True if the two arcs interleave as i1 < i2 < j1 < j2."""
-    if a[0] > b[0]:
-        a, b = b, a
-    return a[0] < b[0] < a[1] < b[1]
-
-
-def _mutually_crossing(arcs) -> bool:
-    return all(arcs_cross(a, b) for a, b in combinations(arcs, 2))
-
-
-def crossing_number(d: Diagram) -> int:
-    """Largest m such that some m arcs of d are mutually crossing.
-
-    Exhaustive over arc subsets by decreasing size; exponential in the
-    number of arcs, which is fine at oracle scale.
-    """
-    arcs = sorted(d.arcs)
-    for size in range(len(arcs), 1, -1):
-        if any(_mutually_crossing(c) for c in combinations(arcs, size)):
-            return size
-    return 1 if arcs else 0
 
 
 def _end_orders(k: int):

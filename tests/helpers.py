@@ -1,8 +1,8 @@
 """Shared test utilities: an independent polynomial root oracle,
 coefficient-loop oracles for series products and reciprocals, Horner's
 rule as the composition oracle, the rational Bessel series as the oracle
-for the Hurwitz determinant, every partial matching on n vertices, the
-hook length formula as the oracle for the oracle's end orders,
+for the Hurwitz determinant, a diagram's crossing number from its arc
+subsets, every partial matching on n vertices, the hook length formula as the oracle for the oracle's end orders,
 significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 import crossing_count
-from crossing_count.oracle import Diagram
 from crossing_count.powerseries import TruncatedSeries
 
 
@@ -151,6 +152,50 @@ def rational_bessel_matrix(k: int, order: int) -> list[list[TruncatedSeries]]:
         [bessel_i(i - j, order) - bessel_i(i + j, order) for j in range(1, k)]
         for i in range(1, k)
     ]
+
+
+class Diagram(namedtuple("Diagram", "n arcs")):
+    """Vertices 1..n plus a frozenset of arcs (i, j), i < j, degrees <= 1."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        seen: set[int] = set()
+        for i, j in self.arcs:
+            if not 1 <= i < j <= self.n:
+                raise ValueError(f"arc ({i}, {j}) out of range for n={self.n}")
+            if i in seen or j in seen:
+                raise ValueError(f"vertex of degree > 1 in arcs {sorted(self.arcs)}")
+            seen.update((i, j))
+
+    def mirror(self) -> "Diagram":
+        """Relabel i -> n+1-i; crossing structure is preserved."""
+        m = self.n + 1
+        return Diagram(self.n, frozenset((m - j, m - i) for i, j in self.arcs))
+
+
+def arcs_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True if the two arcs interleave as i1 < i2 < j1 < j2."""
+    if a[0] > b[0]:
+        a, b = b, a
+    return a[0] < b[0] < a[1] < b[1]
+
+
+def _mutually_crossing(arcs) -> bool:
+    return all(arcs_cross(a, b) for a, b in combinations(arcs, 2))
+
+
+def crossing_number(d: Diagram) -> int:
+    """Largest m such that some m arcs of d are mutually crossing.
+
+    Exhaustive over arc subsets by decreasing size; exponential in the
+    number of arcs, which is fine at oracle scale.
+    """
+    arcs = sorted(d.arcs)
+    for size in range(len(arcs), 1, -1):
+        if any(_mutually_crossing(c) for c in combinations(arcs, size)):
+            return size
+    return 1 if arcs else 0
 
 
 def partial_matchings(n: int):

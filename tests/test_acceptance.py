@@ -24,12 +24,12 @@ import time
 from fractions import Fraction
 
 from conftest import ACCEPTANCE_LINES
-from helpers import match_roots, matches_sig_figs, newton_deflation_roots
+from helpers import Diagram, crossing_number, match_roots, matches_sig_figs, newton_deflation_roots
 
 from crossing_count import asymptotics as asy
 from crossing_count import counting, oracle, powerseries, structures
 from crossing_count.asymptotics import QuarticProblem
-from crossing_count.oracle import Diagram, EnumSpec, crossing_number, enumerate_count
+from crossing_count.oracle import EnumSpec, enumerate_count
 from crossing_count.powerseries import TruncatedSeries
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,15 +140,14 @@ def test_quartic_vieta_on_a_near_triple_cluster():
 def test_rho_quartic_roots_stay_apart_at_large_k():
     # the +r_k quartic for k = 10^6 has the roots 1999999, 0.99999975,
     # -1.00000025 and 5.0000025e-7; the closed form returns the tiny root
-    # twice and loses the one near 1
-    roots = asy.compute_rho(10**6).roots
+    # twice, one of them then replaced by rho, and loses the one near 1
+    roots = asy.singularities_for_radius(asy.compute_rho(10**6))[:4]
     assert all(abs(z - w) >= 1e-3 for i, z in enumerate(roots) for w in roots[i + 1 :])
 
 
-@pytest.mark.xfail(strict=True, reason="solve_quartic loses rho_k at large k")
 def test_rho_exists_at_k_ten_million():
     # theta(z) is about z near 0, so rho_k is about r_k; from k = 10^7 the
-    # closed form loses the tiny root and compute_rho raises ValueError
+    # closed form loses the tiny root, which compute_rho never asks it for
     k = 10**7
     assert asy.compute_rho(k).rho == pytest.approx(1 / (2 * (k - 1)), rel=1e-6)
 
@@ -215,15 +215,15 @@ def test_compute_rho_exact_quarter():
     assert abs(asy.theta(report.rho) - 0.25) <= 1e-10
     appendix = QuarticProblem(1, -5, -1, 5, -1)
     assert appendix.residual(report.rho) <= 1e-12
-    assert len(report.roots) == 4
     assert report.growth_rate == 1 / report.rho
 
 
 def test_dominant_root_round_trip():
-    # the solver and the integer rounding at a radius with a long ratio
-    num, den = asy.theta(0.1).as_integer_ratio()
-    roots = asy.solve_quartic(QuarticProblem(*asy._clearing_coefficients(num, den)))
-    rho, growth_rate = asy._correctly_rounded_root(roots[asy._dominant_index(roots)].real, num, den)
+    # both exact bisections at a radius with a long ratio, in compute_rho's brackets
+    r = asy.theta(0.1)
+    quartic = asy._cleared(*r.as_integer_ratio())
+    rho = asy._nearest_float_root(quartic, r / 2, 0.5)
+    growth_rate = asy._nearest_float_root(quartic[::-1], 2.0, 2 / r)
     assert abs(rho - 0.1) <= 1e-10
     assert abs(growth_rate - 10) <= 1e-8
 
@@ -254,16 +254,20 @@ def test_compute_rho_matches_bisection_oracle(k):
     assert abs(report.rho - (lo + hi) / 2) <= 1e-9
 
 
-@pytest.mark.parametrize("k", range(3, 13))
+BISECTED_K = [*range(3, 13), 10**6, 10**7]
+
+
+@pytest.mark.parametrize("k", BISECTED_K)
 def test_compute_rho_is_the_correctly_rounded_root(k):
     # exact bisection of the cleared quartic, until both ends of the
-    # interval round to the same float
+    # interval round to the same float; the scan's step is r/4, so its
+    # first sign change is past 0 for every k
     r = Fraction(1, 2 * (k - 1))
 
     def cleared(z):
         return (z - z**3) - r * (1 - z + z * z + z**3 - z**4)
 
-    step = Fraction(1, 64)
+    step = r / 4
     lo = Fraction(0)
     while cleared(lo + step) < 0:
         lo += step
@@ -277,7 +281,7 @@ def test_compute_rho_is_the_correctly_rounded_root(k):
     assert asy.compute_rho(k).rho == float(lo)
 
 
-@pytest.mark.parametrize("k", range(3, 13))
+@pytest.mark.parametrize("k", BISECTED_K)
 def test_growth_rate_is_the_correctly_rounded_reciprocal(k):
     # exact bisection of the cleared quartic, until 1/rho at both ends of
     # the interval rounds to the same float
@@ -286,7 +290,7 @@ def test_growth_rate_is_the_correctly_rounded_reciprocal(k):
     def cleared(z):
         return (z - z**3) - r * (1 - z + z * z + z**3 - z**4)
 
-    step = Fraction(1, 64)
+    step = r / 4
     lo = Fraction(0)
     while cleared(lo + step) < 0:
         lo += step
@@ -300,24 +304,72 @@ def test_growth_rate_is_the_correctly_rounded_reciprocal(k):
     assert asy.compute_rho(k).growth_rate == float(1 / lo)
 
 
-def test_uncertified_rounding_raises():
-    # one Newton step from 0.2 does not land within half an ulp of rho_3
-    with pytest.raises(ArithmeticError):
-        asy._correctly_rounded_root(0.2, 1, 4)
+def test_bracket_without_a_sign_change_raises():
+    # rho_3 = 0.2198 lies below [1/4, 1/2], which holds no other root
+    with pytest.raises(ValueError, match="no sign change"):
+        asy._nearest_float_root(asy._cleared(1, 4), 0.25, 0.5)
+
+
+def test_nearest_float_root_is_the_correctly_rounded_sqrt():
+    # IEEE sqrt is correctly rounded, so it is an independent oracle
+    for n in range(2, 201):
+        if math.isqrt(n) ** 2 != n:
+            assert asy._nearest_float_root((1, 0, -n), 1.0, float(n)) == math.sqrt(n), n
+
+
+def _times(a, b):
+    """Product of two integer polynomials, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _at(poly, z):
+    return sum(c * z**i for i, c in enumerate(poly))
+
+
+def test_theta_increases_on_the_rho_bracket():
+    # compute_rho's bracket argument, exactly.  The numerator of theta' is
+    # (1 - 3z^2) u - (z - z^3) u' = 1 - 4t + 2t^2 - t^3 with t = z^2; its
+    # slope in t, -4 + 4t - 3t^2, is at most -3 for t <= 1/4, so on
+    # [0, 1/2] it is least at z = 1/2, where it is 7/64 > 0
+    u, du = [1, -1, 1, 1, -1], [-1, 2, 3, -4]
+    first, second = _times([1, 0, -3], u), _times([0, 1, 0, -1], du)
+    numerator = [x - y for x, y in zip(first, second)]
+    assert numerator == [1, 0, -4, 0, 2, 0, -1]
+    half = Fraction(1, 2)
+    assert _at(numerator, half) == Fraction(7, 64)
+    assert all(-4 + 4 * t - 3 * t * t <= -3 for t in (Fraction(i, 400) for i in range(101)))
+    # theta(1/2) = 6/13 > r_k; and u(z) - (1 - z) = z^2 (1 + z - z^2) >= 0 on
+    # [0, 1], so u(z) >= 7/8 and theta(z) <= (8/7) z for z <= 1/8
+    assert (half - half**3) / _at(u, half) == Fraction(6, 13)
+    assert [a - b for a, b in zip(u, [1, -1, 0, 0, 0])] == _times([0, 0, 1], [1, 1, -1])
+
+
+def test_compute_rho_needs_no_float_solver(monkeypatch):
+    def refuse(problem):
+        raise RuntimeError("solve_quartic called")
+
+    monkeypatch.setattr(asy, "solve_quartic", refuse)
+    for k in (3, 12, 10**7):
+        assert asy.compute_rho.__wrapped__(k) == asy.compute_rho(k)
 
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_singularities_hold_the_certified_rho(k):
-    # the first four are the closed-form roots compute_rho saw, but for rho;
-    # the last four solve the -r_k quartic from the exact pair -1, 2(k-1)
+    # the +r_k and -r_k quartics in closed form from the exact pairs
+    # +-1, 2(k-1); in the first, the one root nearest rho becomes rho
+    d = 2 * (k - 1)
     report = asy.compute_rho(k)
     sing = asy.singularities_for_radius(report)
-    dominant = asy._dominant_index(report.roots)
-    assert abs(report.roots[dominant] - report.rho) <= 1e-15
-    plus = list(report.roots)
+    plus = asy.solve_quartic(QuarticProblem(1 / d, -(d + 1) / d, -1 / d, (d + 1) / d, -1 / d))
+    minus = asy.solve_quartic(QuarticProblem(-1 / d, -(d - 1) / d, 1 / d, (d - 1) / d, 1 / d))
+    dominant = min(range(4), key=lambda i: abs(plus[i] - report.rho))
+    assert abs(plus[dominant] - report.rho) <= 1e-15
     plus[dominant] = complex(report.rho, 0.0)
     assert sing[:4] == plus
-    minus = asy.solve_quartic(QuarticProblem(*asy._clearing_coefficients(-1, 2 * (k - 1))))
     assert sing[4:] == minus
 
 
@@ -325,6 +377,14 @@ def test_compute_rho_rejects_out_of_range():
     for k in (2, 1, 0):
         with pytest.raises(ValueError):
             asy.compute_rho(k)
+
+
+def test_compute_rho_refuses_a_bracket_near_float_overflow():
+    # the last k whose bracket [2, 4(k-1)] has a finite midpoint sum, then the first past it
+    edge = int(sys.float_info.max) // 8 + 1
+    assert asy.compute_rho(edge).growth_rate == pytest.approx(2 * (edge - 1), rel=1e-15)
+    with pytest.raises(ValueError, match="float overflow"):
+        asy.compute_rho(edge + 1)
 
 
 def test_singularities_for_quarter_radius():

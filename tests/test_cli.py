@@ -90,6 +90,13 @@ def test_handler_usage_errors_keep_their_messages(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
+def test_growth_names_the_root_the_float_solver_lost(capsys):
+    # rho_k exists for every k, but from k = 10^7 the closed form drops it
+    # from the singularity list
+    message = "the float quartic solver lost the root at rho_k = 5.000000250000038e-08"
+    assert run_cli(capsys, "growth", "--k", "10000000") == (2, "", f"error: {message}\n")
+
+
 def _declared(name: str) -> commands.Options:
     options = commands.Options()
     importlib.import_module(f"crossing_count.commands.{name}").add_arguments(options)

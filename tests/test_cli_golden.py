@@ -32,7 +32,9 @@ choice, all but the repeated option read by argparse alone, and
 'table --digits 17' were captured before a well-formed argv came to be
 read without argparse;
 'table --digits 18' (exit 2) was added when table came to refuse more
-significant digits than a double carries.
+significant digits than a double carries, and 'growth --k 10000000'
+(exit 2) when rho_k came to be bisected exactly: the float quartic solver
+still drops that root from the singularity list.
 """
 
 import json

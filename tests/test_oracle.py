@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import partial_matchings, shapes, tableaux
+from helpers import Diagram, arcs_cross, crossing_number, partial_matchings, shapes, tableaux
 from crossing_count import counting, oracle
-from crossing_count.oracle import (
-    BudgetExceededError,
-    Diagram,
-    EnumSpec,
-    arcs_cross,
-    crossing_number,
-    enumerate_count,
-    state_bound,
-)
+from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count, state_bound
 
 
 def diagram(n, arcs):
