@@ -5,7 +5,8 @@ Counting is exact (arbitrary-precision integers), generating-function
 identities are verified with exact integer series, and the growth
 constants rho_k and 1/rho_k are the floats nearest the roots of an
 integer quartic, by bisection with exact integer signs; the other
-quartic roots come from the closed form plus Newton refinement.
+quartic roots come from Aberth-Ehrlich iteration on the quartic's
+integer coefficients, with multiple roots split off exactly.
 
 Importing the package loads none of its modules, so each CLI command
 starts with only the layers it runs.  It defines BudgetExceededError,
@@ -15,7 +16,7 @@ module you need:
 - counting: f_k(n, 0), T_k(n), the Catalan numbers;
 - walks: the walk DP behind f_k(2m, 0) for a k with no recurrence;
 - structures: lam(n, b) and the structure counts S_{k,3}(n);
-- asymptotics: the quartic solver, growth constants, asymptotic factors;
+- asymptotics: the root finder, growth constants, asymptotic factors;
 - powerseries: truncated series and the identity checks;
 - oracle: brute-force enumeration;
 - cli: the command-line parser, exit codes and shared output helpers;

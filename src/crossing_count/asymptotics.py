@@ -19,11 +19,12 @@ float is an integer ratio, and the cleared quartic has integer
 coefficients); 1/rho_k is bisected on the reversed quartic, whose roots
 are the reciprocals, so no float solver is on that path and no command
 that reports a growth constant imports fractions.  The other roots, for
-`roots` and growth's list of induced singularities, are solved in closed
-form (depressed quartic plus resolvent cubic) with complex arithmetic
-throughout, then polished by Newton iteration on the original
-polynomial; double precision plus that refinement is enough for the
-listed values, whose reference values carry at most 1e-5 accuracy.
+`roots` and growth's list of induced singularities, come from one root
+finder for integer polynomials of any degree (_roots): exact zero roots
+are split off, and so, through an integer gcd with the derivative, is
+every repeated factor, so a multiple root comes out exact; the
+squarefree rest is solved by Aberth-Ehrlich iteration whose Newton
+corrections are each rounded once from exact Gaussian-integer values.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -32,6 +33,7 @@ quartic or computing a growth constant loads neither.
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -39,62 +41,6 @@ from collections import namedtuple
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
 KPRIME = 6.11170
 GROWTH_RATE_K3 = 4.54920
-
-
-def _horner_with_derivative(coeffs, z: complex) -> tuple[complex, complex]:
-    p = 0j
-    dp = 0j
-    for c in coeffs:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _newton_refine(z: complex, coeffs, max_iter: int = 50) -> complex:
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    p, _ = _horner_with_derivative(coeffs, z)
-    for _ in range(max_iter):
-        if abs(p) <= 1e-16 * scale:
-            break
-        _, dp = _horner_with_derivative(coeffs, z)
-        if dp == 0:
-            break
-        step = p / dp
-        # damped: a step may never worsen the residual (a nearly flat
-        # derivative would otherwise catapult the iterate away)
-        for _ in range(30):
-            cand = z - step
-            p_new, _ = _horner_with_derivative(coeffs, cand)
-            if abs(p_new) <= abs(p):
-                break
-            step /= 2
-        else:
-            break
-        z, p = cand, p_new
-        if abs(step) <= 1e-14 * max(1.0, abs(z)):
-            break
-    return z
-
-
-def solve_cubic_depressed(p: float, q: float) -> tuple[complex, complex, complex]:
-    """All three complex roots of v^3 + p v + q = 0.
-
-    Vieta substitution: v = p/(3U) - U with U^3 = q/2 +- sqrt(q^2/4 +
-    p^3/27); the branch keeps U away from zero, and U = 0 (p = q = 0)
-    yields the triple root 0.
-    """
-    disc = cmath.sqrt(complex(q) ** 2 / 4 + complex(p) ** 3 / 27)
-    u_cubed = q / 2 + disc
-    other = q / 2 - disc
-    if abs(other) > abs(u_cubed):
-        u_cubed = other
-    if u_cubed == 0:
-        return (0j, 0j, 0j)
-    u0 = u_cubed ** (1 / 3)
-    omega = complex(-0.5, math.sqrt(3) / 2)
-    coeffs = (1.0, 0.0, p, q)
-    cube_roots = (u0, u0 * omega, u0 * omega * omega)
-    return tuple(_newton_refine(p / (3 * u) - u, coeffs) for u in cube_roots)
 
 
 class QuarticProblem(namedtuple("QuarticProblem", "a b c d e")):
@@ -112,84 +58,130 @@ class QuarticProblem(namedtuple("QuarticProblem", "a b c d e")):
         return (self.a, self.b, self.c, self.d, self.e)
 
     def residual(self, z: complex) -> float:
-        return abs(_horner_with_derivative(self.coefficients(), z)[0])
-
-
-def _low_degree_roots(coeffs) -> list[complex]:
-    """Newton-polished roots of a polynomial of degree 0 to 3, highest coefficient first."""
-    monic = [c / coeffs[0] for c in coeffs[1:]]
-    if len(monic) == 3:
-        b, c, d = monic
-        depressed = solve_cubic_depressed(c - b * b / 3, 2 * b**3 / 27 - b * c / 3 + d)
-        roots = [v - b / 3 for v in depressed]
-    elif len(monic) == 2:
-        b, c = monic
-        disc = cmath.sqrt(complex(b * b / 4 - c))
-        roots = [-b / 2 + disc, -b / 2 - disc]
-    else:
-        roots = [complex(-c) for c in monic]
-    return [_newton_refine(z, coeffs) for z in roots]
+        value = 0j
+        for c in self.coefficients():
+            value = value * z + c
+        return abs(value)
 
 
 def solve_quartic(problem: QuarticProblem) -> list[complex]:
-    """All four roots, via depressed quartic and resolvent cubic.
+    """All four roots, with multiplicity: _roots of the coefficients
+    cleared to integers (a float is an integer over a power of two).
+    Coefficients too widely spread for double precision, such as
+    1, 1e200, 1, 1, 1 with a root near -1e200, raise ValueError."""
+    ratios = [c.as_integer_ratio() for c in problem]
+    den = math.lcm(*(q for _, q in ratios))
+    return _roots([p * (den // q) for p, q in ratios])
 
-    Exact roots at 0 (trailing zero coefficients) are split off first: the
-    closed form blurs a multiple root into a pair about sqrt(eps) apart.
-    The resolvent root keeping |alpha + 2y| largest is used, which avoids
-    the spurious zero branch of biquadratics; if every resolvent root
-    degenerates the quartic is u^4 = 0 up to rounding and is handled as a
-    biquadratic.  Roots are Newton-polished at the end, so the branch
-    choices only affect intermediate accuracy.
 
-    Finite coefficients can still be too widely spread for double
-    precision (1, 1e200, 1, 1, 1 overflows the shifted cubic term): an
-    intermediate that overflows, or a root that comes out infinite or NaN,
-    raises ValueError.
+def _primitive(p: list[int]) -> list[int]:
+    """p over its content, with a positive leading coefficient; [] stays []."""
+    content = math.gcd(*p) if p and p[0] > 0 else -math.gcd(*p)
+    return [c // content for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the remainder of lc(b)^m a by b ([] for zero)."""
+    while len(a) >= len(b):
+        a = [b[0] * x - a[0] * y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        a = list(itertools.dropwhile(lambda c: c == 0, a))
+    return _primitive(a)
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials when b is primitive and divides a."""
+    quotient = []
+    while len(a) >= len(b):
+        quotient.append(a[0] // b[0])
+        a = [x - quotient[-1] * y for x, y in itertools.zip_longest(a, b, fillvalue=0)][1:]
+    return quotient
+
+
+def _roots(p: list[int]) -> list[complex]:
+    """All roots of an integer polynomial, highest degree first, with multiplicity.
+
+    Exact roots at 0 are split off, then the squarefree part p / gcd(p, p')
+    is solved by _aberth and gcd(p, p') recursively, so a root of
+    multiplicity m comes out as exactly as a simple one rather than as a
+    cluster about eps^(1/m) wide.  The gcd is a primitive pseudo-remainder
+    sequence, so every step stays in the integers and the division is exact.
     """
+    kept = list(itertools.dropwhile(lambda c: c == 0, reversed(p)))[::-1]
+    zeros = [0j] * (len(p) - len(kept))
+    if len(kept) == 1:
+        return zeros
+    n = len(kept) - 1
+    gcd, rest = kept, _primitive([c * (n - i) for i, c in enumerate(kept[:-1])])
+    while rest:
+        gcd, rest = rest, _pseudo_remainder(gcd, rest)
+    return zeros + _aberth(_quotient(kept, gcd)) + _roots(gcd)
+
+
+def _newton_correction(p: list[int], z: complex) -> complex:
+    """p(z) / p'(z), rounded once from exact values: z is (x + iy) / den
+    for integers x, y and den, so den^d p(z) = v_re + i v_im and
+    den^(d-1) p'(z) = s_re + i s_im are Gaussian integers, taken by
+    Horner's rule on integer pairs."""
+    (x, q), (y, r) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(q, r)
+    x, y = x * (den // q), y * (den // r)
+    v_re = v_im = s_re = s_im = 0
+    power = 1
+    for c in p:
+        s_re, s_im = s_re * x - s_im * y + v_re, s_re * y + s_im * x + v_im
+        v_re, v_im = v_re * x - v_im * y + c * power, v_re * y + v_im * x
+        power *= den
+    norm = den * (s_re * s_re + s_im * s_im)
+    return complex((v_re * s_re + v_im * s_im) / norm, (v_im * s_re - v_re * s_im) / norm)
+
+
+_MAX_SWEEPS = 200
+
+
+def _aberth(p: list[int]) -> list[complex]:
+    """The roots of a squarefree integer polynomial with p(0) != 0.
+
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973), each root
+    updated in turn, from one circle per edge of the Newton polygon of
+    log|c_i|, of radius |c_i / c_j|^(1/(j-i)) (Bini, Numer. Algorithms 13,
+    1996).  Each Newton correction is exact up to its one rounding, so a
+    root is done once its step is within an ulp of its modulus, also
+    inside a cluster that float evaluation would blur.  ValueError if the
+    outermost circle's radius to the d-th power is past float range (the
+    leading term at a root there would overflow), if a correction is, or
+    if the iteration does not settle.
+    """
+    n = len(p) - 1
+    hull = []  # the upper convex hull of the points (i, log|c_i|), c_i the coefficient of z^i
+    for j, lj in ((i, math.log(abs(c))) for i, c in enumerate(reversed(p)) if c):
+        while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (lj - hull[-2][1]) >= (
+            hull[-1][1] - hull[-2][1]
+        ) * (j - hull[-2][0]):
+            hull.pop()
+        hull.append((j, lj))
+    circles = [(i, j - i, (li - lj) / (j - i)) for (i, li), (j, lj) in zip(hull, hull[1:])]
+    if n * circles[-1][2] > math.log(sys.float_info.max):
+        raise ValueError("coefficients too widely spread for double precision")
+    z = [
+        cmath.rect(math.exp(log_radius), 2 * math.pi * (m / count + i / n) + 0.7)
+        for i, count, log_radius in circles
+        for m in range(count)
+    ]
+    done = [False] * n
     try:
-        roots = _quartic_roots(problem.coefficients())
-        finite = all(map(cmath.isfinite, roots))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"coefficients {tuple(problem)} are too widely spread for double precision")
-    return roots
-
-
-def _quartic_roots(coeffs) -> list[complex]:
-    if coeffs[-1] == 0:
-        kept = list(coeffs)
-        while kept[-1] == 0:
-            kept.pop()
-        return [0j] * (5 - len(kept)) + _low_degree_roots(kept)
-    a, b, c, d, e = coeffs
-    b1, c1, d1, e1 = b / a, c / a, d / a, e / a
-    shift = -b1 / 4
-    alpha = -3 * b1 * b1 / 8 + c1
-    beta = b1**3 / 8 - b1 * c1 / 2 + d1
-    gamma = -3 * b1**4 / 256 + c1 * b1 * b1 / 16 - b1 * d1 / 4 + e1
-
-    p_res = -alpha * alpha / 12 - gamma
-    q_res = -(alpha**3) / 108 + alpha * gamma / 3 - beta * beta / 8
-    ys = [v - 5 * alpha / 6 for v in solve_cubic_depressed(p_res, q_res)]
-    y = max(ys, key=lambda cand: abs(alpha + 2 * cand))
-    s_sq = alpha + 2 * y
-
-    scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
-    halves = []
-    if abs(s_sq) <= 1e-13 * scale:
-        disc = cmath.sqrt(complex(alpha * alpha / 4 - gamma))
-        for w in (-alpha / 2 + disc, -alpha / 2 - disc):
-            root = cmath.sqrt(w)
-            halves.extend((root, -root))
-    else:
-        s = cmath.sqrt(complex(s_sq))
-        for sign in (1.0, -1.0):
-            t = cmath.sqrt(-(3 * alpha + 2 * y + sign * 2 * beta / s))
-            halves.extend(((sign * s + t) / 2, (sign * s - t) / 2))
-
-    return [_newton_refine(u + shift, coeffs) for u in halves]
+        for _ in range(_MAX_SWEEPS):
+            for i, zi in enumerate(z):
+                if not done[i]:
+                    ratio = _newton_correction(p, zi)
+                    repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                    step = ratio / (1 - ratio * repulsion)
+                    z[i] = zi - step
+                    done[i] = abs(step) <= math.ulp(abs(z[i]))
+            if all(done):
+                return z
+    except (OverflowError, ZeroDivisionError):  # a correction past float range; iterates met
+        pass
+    raise ValueError(f"Aberth iteration did not settle in {_MAX_SWEEPS} sweeps")
 
 
 def theta(z: float) -> float:
@@ -321,19 +313,17 @@ def singularities_for_radius(report: GrowthReport) -> list[complex]:
     These are the singularities the radius map induces from the pair of
     dominant singularities +-r_k; for k = 3 they are the roots of
     z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  Both
-    quartics are solved in closed form, from the exact pairs +-1, 2(k-1),
-    and the smallest real root of the +r_k one in (0, 0.7), taking
-    |imag| <= 1e-8 as real, is replaced by report.rho; if the closed form
-    lost that root, as at k = 10^7, ValueError.
+    quartics go to _roots as the exact integers +-1, 2(k-1) clear them
+    to, and the root of the +r_k one nearest report.rho is replaced by
+    it; if that root is more than 1e-8 relative away, the root finder
+    lost it, and ValueError.
     """
     den = 2 * (report.k - 1)
-    plus, minus = (
-        solve_quartic(QuarticProblem(*(c / den for c in _cleared(num, den)))) for num in (1, -1)
-    )
-    real = [i for i, z in enumerate(plus) if abs(z.imag) <= 1e-8 and 0 < z.real < 0.7]
-    if not real:
-        raise ValueError(f"the float quartic solver lost the root at rho_k = {report.rho!r}")
-    plus[min(real, key=lambda i: plus[i].real)] = complex(report.rho, 0.0)
+    plus, minus = (_roots(_cleared(num, den)) for num in (1, -1))
+    nearest = min(range(4), key=lambda i: abs(plus[i] - report.rho))
+    if abs(plus[nearest] - report.rho) > 1e-8 * report.rho:
+        raise ValueError(f"the root finder lost the root at rho_k = {report.rho!r}")
+    plus[nearest] = complex(report.rho, 0.0)
     return plus + minus
 
 

@@ -14,26 +14,6 @@ from crossing_count import counting
 from crossing_count.asymptotics import QuarticProblem
 
 
-def test_depressed_cubic_triple_root():
-    assert asy.solve_cubic_depressed(0.0, 0.0) == (0j, 0j, 0j)
-
-
-def test_depressed_cubic_factored():
-    roots = sorted(asy.solve_cubic_depressed(-1.0, 0.0), key=lambda z: z.real)
-    for root, expected in zip(roots, (-1, 0, 1)):
-        assert abs(root - expected) < 1e-12
-
-
-def test_depressed_cubic_resolvent_case():
-    # the resolvent cubic of z^4 - 5z^3 - z^2 + 5z - 1; its real root
-    # corresponds to y ~ 6.21621 via v = y + 5*alpha/6 with alpha = -83/8
-    roots = asy.solve_cubic_depressed(-16 / 3, 299 / 216)
-    target = 6.21621 - 5 * 83 / 48
-    assert min(abs(z - target) for z in roots) < 1e-5
-    for z in roots:
-        assert abs(z**3 - (16 / 3) * z + 299 / 216) < 1e-9
-
-
 APPENDIX_ROOTS_PLUS = (0.21982, 5.00829, -1.07392, 0.84581)
 APPENDIX_ROOTS_MINUS = (
     complex(-0.53243, 0.11951),
@@ -60,6 +40,25 @@ def test_quartic_biquadratic():
     assert match_roots(roots, [1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "coeffs, repeated, simple",
+    [
+        ((1, -2, 2, -2, 1), [1, 1], [1j, -1j]),  # (x - 1)^2 (x^2 + 1)
+        ((1, -5, 6, 4, -8), [2, 2, 2], [-1]),  # (x - 2)^3 (x + 1)
+        ((1, -2, 1, 0, 0), [0, 0, 1, 1], []),  # x^2 (x - 1)^2
+    ],
+    ids=["double", "triple", "double-at-0-and-1"],
+)
+def test_quartic_multiple_roots_are_exact(coeffs, repeated, simple):
+    # the squarefree split divides gcd(p, p') out exactly, so a multiple
+    # root is not blurred into a cluster about eps^(1/m) wide
+    roots = asy.solve_quartic(QuarticProblem(*coeffs))
+    for root in repeated:
+        assert complex(root) in roots
+        roots.remove(complex(root))
+    assert match_roots(roots, simple) <= 1e-15
+
+
 def test_quartic_rejects_zero_leading_coefficient():
     with pytest.raises(ValueError):
         QuarticProblem(0, 1, 1, 1, 1)
@@ -77,15 +76,26 @@ def test_quartic_rejects_non_finite_coefficient(bad, position):
 @pytest.mark.parametrize(
     "coeffs",
     [
-        (1, 1e200, 1, 1, 1),  # overflows in the shifted cubic term
+        (1, 1e200, 1, 1, 1),  # a root near -1e200, whose fourth power overflows
         (1e-160, 1, 1, 1, 1),  # the same, from a tiny leading coefficient
-        (1, 1, 1, 1e160, 1),  # overflows in the resolvent cubic
-        (1, 0, 0, 1e160, -1),  # no exception, but every root comes out NaN
     ],
 )
 def test_quartic_rejects_too_widely_spread_coefficients(coeffs):
     with pytest.raises(ValueError, match="widely spread"):
         asy.solve_quartic(QuarticProblem(*coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1e160, 1), (1, 0, 0, 1e160, -1)])
+def test_quartic_solves_widely_spread_coefficients(coeffs):
+    # a root near -+1e-160 and three of modulus about 2e53; the closed form
+    # overflowed in its resolvent cubic or returned NaN here
+    problem = QuarticProblem(*coeffs)
+    roots = asy.solve_quartic(problem)
+    magnitudes = [abs(c) for c in coeffs]
+    for z in roots:
+        scale = sum(c * abs(z) ** (4 - i) for i, c in enumerate(magnitudes))
+        assert problem.residual(z) <= 1e-14 * scale
+    assert abs(sum(roots) + coeffs[1]) <= 1e-15 * max(map(abs, roots))
 
 
 def _random_problem(rng):
@@ -120,34 +130,39 @@ def test_quartic_random_residual_vieta_and_oracle():
     st.floats(min_value=-10, max_value=10),
 )
 @example(0.3359375, 2.0, -6.103515625e-05, 0.0, 0.0)  # double root at 0
+@example(
+    1.8930515802676104, -5.8976442220668, 9.927219641726195e-14, -1.1063282926029688e-14,
+    8.311946440109289e-16,
+)  # a triple cluster of modulus about 5e-6; the closed form missed the sum by 1.5e-6
+@example(
+    1.1509981238312932, 1.1509981238312932, 1.0671568235878684e-133, 1.1509981238312932,
+    1.1509981238312932,
+)  # two roots 1e-66 from -1, which float evaluation of p blurs to a pair 1e-8 apart
 def test_quartic_vieta_property(a, b, c, d, e):
     problem = QuarticProblem(a, b, c, d, e)
     roots = asy.solve_quartic(problem)
     assert abs(sum(roots) + b / a) <= 1e-8 * max(1.0, abs(b / a))
 
 
-@pytest.mark.xfail(strict=True, reason="solve_quartic loses a near-triple root cluster")
 def test_quartic_vieta_on_a_near_triple_cluster():
-    # one real root and a complex pair of modulus about 1.7e-5 come out as
-    # three real roots near -1.82e-5: the Vieta sum is off by 5.2e-5, past
-    # test_quartic_vieta_property's bound of 2e-7 here
+    # one real root and a complex pair of modulus about 1.7e-5; the closed
+    # form returned three real roots near -1.82e-5, off the Vieta sum by
+    # 5.2e-5, past test_quartic_vieta_property's bound of 2e-7 here
     a, b = 0.1, 2.0
     roots = asy.solve_quartic(QuarticProblem(a, b, 6.129627507605499e-06, 0.0, 1e-14))
     assert abs(sum(roots) + b / a) <= 1e-8 * max(1.0, abs(b / a))
 
 
-@pytest.mark.xfail(strict=True, reason="solve_quartic merges neighbouring roots at large k")
 def test_rho_quartic_roots_stay_apart_at_large_k():
     # the +r_k quartic for k = 10^6 has the roots 1999999, 0.99999975,
-    # -1.00000025 and 5.0000025e-7; the closed form returns the tiny root
-    # twice, one of them then replaced by rho, and loses the one near 1
+    # -1.00000025 and 5.0000025e-7; the closed form returned the tiny root
+    # twice, one of them then replaced by rho, and lost the one near 1
     roots = asy.singularities_for_radius(asy.compute_rho(10**6))[:4]
     assert all(abs(z - w) >= 1e-3 for i, z in enumerate(roots) for w in roots[i + 1 :])
 
 
 def test_rho_exists_at_k_ten_million():
-    # theta(z) is about z near 0, so rho_k is about r_k; from k = 10^7 the
-    # closed form loses the tiny root, which compute_rho never asks it for
+    # theta(z) is about z near 0, so rho_k is about r_k
     k = 10**7
     assert asy.compute_rho(k).rho == pytest.approx(1 / (2 * (k - 1)), rel=1e-6)
 
@@ -359,18 +374,39 @@ def test_compute_rho_needs_no_float_solver(monkeypatch):
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_singularities_hold_the_certified_rho(k):
-    # the +r_k and -r_k quartics in closed form from the exact pairs
-    # +-1, 2(k-1); in the first, the one root nearest rho becomes rho
-    d = 2 * (k - 1)
+    # the roots of the +r_k and -r_k quartics on the integers +-1, 2(k-1)
+    # clear them to; in the first, the one root nearest rho becomes rho
     report = asy.compute_rho(k)
     sing = asy.singularities_for_radius(report)
-    plus = asy.solve_quartic(QuarticProblem(1 / d, -(d + 1) / d, -1 / d, (d + 1) / d, -1 / d))
-    minus = asy.solve_quartic(QuarticProblem(-1 / d, -(d - 1) / d, 1 / d, (d - 1) / d, 1 / d))
+    plus, minus = (asy._roots(asy._cleared(num, 2 * (k - 1))) for num in (1, -1))
     dominant = min(range(4), key=lambda i: abs(plus[i] - report.rho))
-    assert abs(plus[dominant] - report.rho) <= 1e-15
+    assert abs(plus[dominant] - report.rho) <= math.ulp(report.rho)
     plus[dominant] = complex(report.rho, 0.0)
     assert sing[:4] == plus
     assert sing[4:] == minus
+
+
+@pytest.mark.parametrize("k", [228948, 288537, 367783, 370547, 518642, 10**6, 10**7])
+def test_singularities_at_large_k_are_the_nearest_floats(k):
+    # at these k the closed form dropped the root at rho_k or merged two
+    # roots.  With d = 2(k-1) all eight roots are real, one in each bracket:
+    # the +r_k quartic is -1 at 1 and -1 and -d^3 + d - 1 at d, positive at
+    # 1/2, -2 and 2d; the -r_k one is 1 at 0, 1, -1 and 1 - d, negative at
+    # -1/2, 2 and -d; rho_k's bracket is compute_rho's.  Exact bisection in
+    # each bracket is the oracle.
+    d = 2 * (k - 1)
+    sing = asy.singularities_for_radius(asy.compute_rho(k))
+    brackets = (
+        [(1 / (2 * d), 0.5), (0.5, 1.0), (-2.0, -1.0), (float(d), float(2 * d))],
+        [(-1.0, -0.5), (-0.5, 0.0), (1.0, 2.0), (float(-d), float(1 - d))],
+    )
+    for num, roots, spans in zip((1, -1), (sing[:4], sing[4:]), brackets):
+        quartic = asy._cleared(num, d)
+        for lo, hi in spans:
+            exact = asy._nearest_float_root(quartic, lo, hi)
+            [root] = [z for z in roots if lo <= z.real <= hi]
+            assert abs(root.real - exact) <= 2 * math.ulp(exact)
+            assert abs(root.imag) <= math.ulp(exact)
 
 
 def test_compute_rho_rejects_out_of_range():

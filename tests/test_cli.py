@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import package_env
-from crossing_count import cli, commands, counting, powerseries, structures
+from crossing_count import asymptotics, cli, commands, counting, powerseries, structures
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
 
@@ -90,10 +90,11 @@ def test_handler_usage_errors_keep_their_messages(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
-def test_growth_names_the_root_the_float_solver_lost(capsys):
-    # rho_k exists for every k, but from k = 10^7 the closed form drops it
-    # from the singularity list
-    message = "the float quartic solver lost the root at rho_k = 5.000000250000038e-08"
+def test_growth_names_the_root_the_float_solver_lost(capsys, monkeypatch):
+    # a root finder that loses the root at rho_k: every root moved by 1e-3
+    roots = asymptotics._roots
+    monkeypatch.setattr(asymptotics, "_roots", lambda p: [z + 1e-3 for z in roots(p)])
+    message = "the root finder lost the root at rho_k = 5.000000250000038e-08"
     assert run_cli(capsys, "growth", "--k", "10000000") == (2, "", f"error: {message}\n")
 
 

@@ -34,7 +34,14 @@ read without argparse;
 'table --digits 18' (exit 2) was added when table came to refuse more
 significant digits than a double carries, and 'growth --k 10000000'
 (exit 2) when rho_k came to be bisected exactly: the float quartic solver
-still drops that root from the singularity list.
+still dropped that root from the singularity list.  Four roots cases (a
+quadruple root, double roots at 0 and 1, a biquadratic and a near-triple
+cluster) were captured before Aberth-Ehrlich iteration on integer
+coefficients replaced the closed form, and 23 cases were recaptured at
+that change: every growth case for k = 3, 4 and 5, the roots cases of the
+two k = 3 quartics, the near-triple cluster, 'growth --k 10000000' and
+two roots cases with coefficients up to 1e160, the last three (exit 2)
+now solved with exit 0 (see the "about" note).
 """
 
 import json
