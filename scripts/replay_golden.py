@@ -9,11 +9,14 @@ temporary directory and COLUMNS=80 (the terminal width the --help cases
 were captured at), and exits 1 if any stdout or exit code differs, or
 if a child reports an exception it could not raise ("Exception ignored
 in ..." on stderr, such as an unclosed file under PYTHONDEVMODE=1 with
-PYTHONWARNINGS=error).
+PYTHONWARNINGS=error).  For each case that differs it prints, on stderr,
+the argv, both exit codes and the first stdout line that differs,
+expected and got.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -40,7 +43,15 @@ def main() -> int:
         ignored = "Exception ignored" in proc.stderr
         if ignored or (proc.returncode, proc.stdout) != (case["exit"], case["stdout"]):
             failures += 1
-            print(f"differs: {' '.join(case['argv'])} (exit {proc.returncode})", file=sys.stderr)
+            command = " ".join(case["argv"])
+            codes = f"exit {case['exit']} expected, {proc.returncode} got"
+            print(f"differs: {command} ({codes})", file=sys.stderr)
+            lines = itertools.zip_longest(case["stdout"].splitlines(), proc.stdout.splitlines())
+            for number, (want, got) in enumerate(lines, 1):
+                if want != got:  # a missing line reads None
+                    print(f"  line {number} expected: {want!r}", file=sys.stderr)
+                    print(f"  line {number}      got: {got!r}", file=sys.stderr)
+                    break
             if ignored:
                 print(proc.stderr, end="", file=sys.stderr)
     print(f"{len(cases) - failures} of {len(cases)} golden cases match through python -m crossing_count")

@@ -25,6 +25,8 @@ are split off, and so, through an integer gcd with the derivative, is
 every repeated factor, so a multiple root comes out exact; the
 squarefree rest is solved by Aberth-Ehrlich iteration whose Newton
 corrections are each rounded once from exact Gaussian-integer values.
+A real root is then made exactly real by the same exact bisection, so
+the +r_k quartic's list holds rho_k bit for bit.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -97,7 +99,7 @@ def _quotient(a: list[int], b: list[int]) -> list[int]:
     return quotient
 
 
-def _roots(p: list[int]) -> list[complex]:
+def _roots(p: list[int], degree: int | None = None) -> list[complex]:
     """All roots of an integer polynomial, highest degree first, with multiplicity.
 
     Exact roots at 0 are split off, then the squarefree part p / gcd(p, p')
@@ -105,7 +107,11 @@ def _roots(p: list[int]) -> list[complex]:
     multiplicity m comes out as exactly as a simple one rather than as a
     cluster about eps^(1/m) wide.  The gcd is a primitive pseudo-remainder
     sequence, so every step stays in the integers and the division is exact.
+    _aberth judges each factor's float range by degree, that of the
+    polynomial the caller gave, and each simple root goes through _as_real.
     """
+    if degree is None:
+        degree = len(p) - 1
     kept = list(itertools.dropwhile(lambda c: c == 0, reversed(p)))[::-1]
     zeros = [0j] * (len(p) - len(kept))
     if len(kept) == 1:
@@ -114,7 +120,22 @@ def _roots(p: list[int]) -> list[complex]:
     gcd, rest = kept, _primitive([c * (n - i) for i, c in enumerate(kept[:-1])])
     while rest:
         gcd, rest = rest, _pseudo_remainder(gcd, rest)
-    return zeros + _aberth(_quotient(kept, gcd)) + _roots(gcd)
+    squarefree = _quotient(kept, gcd)
+    simple = [_as_real(squarefree, z) for z in _aberth(squarefree, degree)]
+    return zeros + simple + _roots(gcd, degree)
+
+
+def _as_real(p: list[int], z: complex) -> complex:
+    """z, or the float nearest a real root of p if z is one blurred by at
+    most s = 4 ulp(|z|): |Im z| <= s and p changes sign, exactly, between
+    Re z - s and Re z + s."""
+    s = 4 * math.ulp(abs(z))
+    if abs(z.imag) <= s:
+        try:
+            return complex(_nearest_float_root(p, z.real - s, z.real + s), 0.0)
+        except ValueError:  # no sign change there: z is not real
+            pass
+    return z
 
 
 def _newton_correction(p: list[int], z: complex) -> complex:
@@ -138,7 +159,7 @@ def _newton_correction(p: list[int], z: complex) -> complex:
 _MAX_SWEEPS = 200
 
 
-def _aberth(p: list[int]) -> list[complex]:
+def _aberth(p: list[int], degree: int) -> list[complex]:
     """The roots of a squarefree integer polynomial with p(0) != 0.
 
     Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973), each root
@@ -147,9 +168,10 @@ def _aberth(p: list[int]) -> list[complex]:
     1996).  Each Newton correction is exact up to its one rounding, so a
     root is done once its step is within an ulp of its modulus, also
     inside a cluster that float evaluation would blur.  ValueError if the
-    outermost circle's radius to the d-th power is past float range (the
-    leading term at a root there would overflow), if a correction is, or
-    if the iteration does not settle.
+    outermost circle's radius to the power degree, that of the caller's
+    polynomial of which p is a factor, is past float range (its leading
+    term at a root there would overflow), if a correction is, or if the
+    iteration does not settle.
     """
     n = len(p) - 1
     hull = []  # the upper convex hull of the points (i, log|c_i|), c_i the coefficient of z^i
@@ -160,7 +182,7 @@ def _aberth(p: list[int]) -> list[complex]:
             hull.pop()
         hull.append((j, lj))
     circles = [(i, j - i, (li - lj) / (j - i)) for (i, li), (j, lj) in zip(hull, hull[1:])]
-    if n * circles[-1][2] > math.log(sys.float_info.max):
+    if degree * circles[-1][2] > math.log(sys.float_info.max):
         raise ValueError("coefficients too widely spread for double precision")
     z = [
         cmath.rect(math.exp(log_radius), 2 * math.pi * (m / count + i / n) + 0.7)
@@ -314,16 +336,14 @@ def singularities_for_radius(report: GrowthReport) -> list[complex]:
     dominant singularities +-r_k; for k = 3 they are the roots of
     z^4 - 5z^3 - z^2 + 5z - 1 and z^4 + 3z^3 - z^2 - 3z - 1.  Both
     quartics go to _roots as the exact integers +-1, 2(k-1) clear them
-    to, and the root of the +r_k one nearest report.rho is replaced by
-    it; if that root is more than 1e-8 relative away, the root finder
-    lost it, and ValueError.
+    to, whose real roots are the nearest floats, so the +r_k list holds
+    report.rho exactly; if it does not, the root finder lost it, and
+    ValueError.
     """
     den = 2 * (report.k - 1)
     plus, minus = (_roots(_cleared(num, den)) for num in (1, -1))
-    nearest = min(range(4), key=lambda i: abs(plus[i] - report.rho))
-    if abs(plus[nearest] - report.rho) > 1e-8 * report.rho:
+    if report.rho not in plus:
         raise ValueError(f"the root finder lost the root at rho_k = {report.rho!r}")
-    plus[nearest] = complex(report.rho, 0.0)
     return plus + minus
 
 

@@ -20,9 +20,10 @@ identities that tie the structure counts to the matching counts and
 report the first coefficient where the two sides disagree, if any.  All
 of them run on plain integers: the Bessel determinant in the Hurwitz
 ring, where its matrix is the identity at x = 0, so every pivot is a
-unit and the elimination stays integral.  The phi sides of one order
-are a PhiSides table, one product per shift.  fractions and numbers are
-imported only when a caller passes a coefficient that is not an int.
+unit and the elimination stays integral.  A phi side is built afresh
+for each check, by square-and-multiply from two Fibonacci series, so no
+check keeps state between calls.  fractions and numbers are imported
+only when a caller passes a coefficient that is not an int.
 """
 
 import math
@@ -436,21 +437,22 @@ def verify_functional_equation(k: int, order: int) -> IdentityReport:
     )
 
 
-class PhiSides(counting.GrowingTable):
-    """phi0 ratio^n for n = 0, 1, ..., modulo x^(order+1): phi0 =
-    1/(1-x-x^2) and ratio = (1+x) phi0, one product per step."""
-
-    def __init__(self, order: int):
-        phi0 = TruncatedSeries([1, -1, -1], order).reciprocal()
-        super().__init__([phi0])
-        self._ratio = TruncatedSeries([1, 1], order) * phi0
-
-    def _step(self) -> None:
-        self._terms.append(self._terms[-1] * self._ratio)
-
-
-# order -> the phi sides at that order, each table made once
-_phi_sides: dict[int, PhiSides] = {}
+def _phi_side(n: int, order: int) -> TruncatedSeries:
+    """phi0 ratio^n modulo x^(order+1), phi0 = 1/(1-x-x^2) = sum F(j+1) x^j
+    and ratio = (1+x) phi0 = sum F(j+2) x^j, both read off one Fibonacci
+    run; ratio^n by square-and-multiply, about 2 log2(n) products."""
+    fib = [0, 1]
+    while len(fib) < order + 3:
+        fib.append(fib[-1] + fib[-2])
+    side = TruncatedSeries(fib[1:-1], order)
+    power = TruncatedSeries(fib[2:], order)
+    while n:
+        if n & 1:
+            side = side * power
+        n >>= 1
+        if n:
+            power = power * power
+    return side
 
 
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
@@ -458,8 +460,7 @@ def verify_phi_identity(n: int, order: int) -> IdentityReport:
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
     lhs = _sequence(lambda shift, b: structures.lambda_weight(shift + 2 * b, b), n, order)
-    sides = _phi_sides.get(order) or _phi_sides.setdefault(order, PhiSides(order))
-    return _compare(f"phi(n={n})", lhs, sides.value(n))
+    return _compare(f"phi(n={n})", lhs, _phi_side(n, order))
 
 
 def verify_bessel_egf(k: int, order: int) -> IdentityReport:

@@ -78,6 +78,8 @@ def test_quartic_rejects_non_finite_coefficient(bad, position):
     [
         (1, 1e200, 1, 1, 1),  # a root near -1e200, whose fourth power overflows
         (1e-160, 1, 1, 1, 1),  # the same, from a tiny leading coefficient
+        (1e-300, 1, 0, 0, 0),  # a root near -1e300 beside a triple root at 0
+        (1e-100, 1, 1, 0, 0),  # a root near -1e100 beside a double root at 0
     ],
 )
 def test_quartic_rejects_too_widely_spread_coefficients(coeffs):
@@ -375,15 +377,32 @@ def test_compute_rho_needs_no_float_solver(monkeypatch):
 @pytest.mark.parametrize("k", range(3, 13))
 def test_singularities_hold_the_certified_rho(k):
     # the roots of the +r_k and -r_k quartics on the integers +-1, 2(k-1)
-    # clear them to; in the first, the one root nearest rho becomes rho
+    # clear them to; the first holds rho exactly, as a real root
     report = asy.compute_rho(k)
     sing = asy.singularities_for_radius(report)
     plus, minus = (asy._roots(asy._cleared(num, 2 * (k - 1))) for num in (1, -1))
-    dominant = min(range(4), key=lambda i: abs(plus[i] - report.rho))
-    assert abs(plus[dominant] - report.rho) <= math.ulp(report.rho)
-    plus[dominant] = complex(report.rho, 0.0)
-    assert sing[:4] == plus
-    assert sing[4:] == minus
+    assert complex(report.rho, 0.0) in plus
+    assert sing == plus + minus
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_singularities_keep_no_imaginary_crumbs(k):
+    # a root with a nonzero imaginary part has its conjugate beside it, well
+    # apart; a root with none is real: its quartic changes sign across it
+    d = 2 * (k - 1)
+    sing = asy.singularities_for_radius(asy.compute_rho(k))
+    for num, roots in zip((1, -1), (sing[:4], sing[4:])):
+        quartic = asy._cleared(num, d)
+        for z in roots:
+            if z.imag:
+                assert z.conjugate() in roots
+                assert abs(z.imag) > 1e-3 * abs(z)
+            else:
+                signs = [
+                    asy._value(quartic, *math.nextafter(z.real, end).as_integer_ratio())
+                    for end in (-math.inf, math.inf)
+                ]
+                assert signs[0] * signs[1] < 0
 
 
 @pytest.mark.parametrize("k", [228948, 288537, 367783, 370547, 518642, 10**6, 10**7])
@@ -405,8 +424,8 @@ def test_singularities_at_large_k_are_the_nearest_floats(k):
         for lo, hi in spans:
             exact = asy._nearest_float_root(quartic, lo, hi)
             [root] = [z for z in roots if lo <= z.real <= hi]
-            assert abs(root.real - exact) <= 2 * math.ulp(exact)
-            assert abs(root.imag) <= math.ulp(exact)
+            assert root.real == exact
+            assert root.imag == 0.0
 
 
 def test_compute_rho_rejects_out_of_range():

@@ -93,7 +93,7 @@ def test_handler_usage_errors_keep_their_messages(capsys, argv, message):
 def test_growth_names_the_root_the_float_solver_lost(capsys, monkeypatch):
     # a root finder that loses the root at rho_k: every root moved by 1e-3
     roots = asymptotics._roots
-    monkeypatch.setattr(asymptotics, "_roots", lambda p: [z + 1e-3 for z in roots(p)])
+    monkeypatch.setattr(asymptotics, "_roots", lambda *args: [z + 1e-3 for z in roots(*args)])
     message = "the root finder lost the root at rho_k = 5.000000250000038e-08"
     assert run_cli(capsys, "growth", "--k", "10000000") == (2, "", f"error: {message}\n")
 

@@ -41,7 +41,15 @@ coefficients replaced the closed form, and 23 cases were recaptured at
 that change: every growth case for k = 3, 4 and 5, the roots cases of the
 two k = 3 quartics, the near-triple cluster, 'growth --k 10000000' and
 two roots cases with coefficients up to 1e160, the last three (exit 2)
-now solved with exit 0 (see the "about" note).
+now solved with exit 0 (see the "about" note).  20 cases were recaptured
+when a root within 4 ulp of the real axis, where the polynomial changes
+sign exactly, came to print as real: the twelve growth cases for k = 3, 4
+and 5, 'growth --k 4 --n-max 9', 'growth --k 10000000' and the six roots
+cases of the two k = 3 quartics; only imaginary parts ('-0.000000i' to
+'+0.000000i', crumbs below 1e-30 to 0.0) and rho_3's residual (1.926e-58
+to 0) moved.  'roots 1e-300 1 0 0 0' and 'roots 1e-100 1 1 0 0' (exit 2)
+were added when the float-range rule came to be judged on the degree of
+the quartic as given rather than of its squarefree factor.
 """
 
 import json

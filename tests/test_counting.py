@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from crossing_count import counting, powerseries, structures, walks
+from crossing_count import counting, structures, walks
 from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count
 
 
@@ -151,9 +151,8 @@ def test_walk_table_concurrent_growth_matches_sequential():
         lambda: counting.RecurrenceTable(*counting.TK_RECURRENCES[3]),
         lambda: walks.WalkTable(3),
         structures.LambdaTable,
-        lambda: powerseries.PhiSides(10),
     ],
-    ids=["RecurrenceTable", "WalkTable", "LambdaTable", "PhiSides"],
+    ids=["RecurrenceTable", "WalkTable", "LambdaTable"],
 )
 def test_table_rejects_negative_index(make):
     filled = make()
@@ -172,15 +171,6 @@ def test_recurrence_table_concurrent_growth_matches_sequential():
     table = counting.RecurrenceTable(*counting.TK_RECURRENCES[4])
     assert _grow_concurrently(table, queries) == [expected] * 6
     assert table.max_n == 1500
-
-
-def test_phi_sides_concurrent_growth_matches_sequential():
-    queries = list(range(61))
-    sequential = powerseries.PhiSides(30)
-    expected = [sequential.value(n) for n in queries]
-    table = powerseries.PhiSides(30)
-    assert _grow_concurrently(table, queries) == [expected] * 6
-    assert table.max_n == 60
 
 
 def test_k2_is_catalan():

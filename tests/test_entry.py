@@ -7,6 +7,7 @@ reader that closed the pipe gets exit 141 and no traceback.
 """
 
 import gc
+import json
 import os
 import re
 import subprocess
@@ -99,3 +100,26 @@ def test_closed_pipe_exits_141_without_a_traceback(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+
+
+def test_golden_replay_reports_both_exit_codes_and_the_first_differing_line(tmp_path):
+    # a copy of the replay script next to a golden file of two cases: one
+    # that matches and one whose expected exit code and stdout are wrong
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "tests").mkdir()
+    script = tmp_path / "scripts" / "replay_golden.py"
+    script.write_text((root / "scripts" / "replay_golden.py").read_text())
+    cases = [
+        {"argv": ["count", "--k", "3", "--n", "5"], "exit": 0, "stdout": "5\n"},
+        {"argv": ["count", "--k", "3", "--n", "6"], "exit": 1, "stdout": "12\n"},
+    ]
+    (tmp_path / "tests" / "cli_golden.json").write_text(json.dumps({"cases": cases}))
+    proc = _child(str(script))
+    assert proc.returncode == 1
+    assert proc.stdout == "1 of 2 golden cases match through python -m crossing_count\n"
+    assert proc.stderr.splitlines() == [
+        "differs: count --k 3 --n 6 (exit 1 expected, 0 got)",
+        "  line 1 expected: '12'",
+        "  line 1      got: '14'",
+    ]

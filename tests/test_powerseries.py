@@ -305,10 +305,15 @@ def test_phi_identity_orders():
     assert ps.verify_phi_identity(5, 15).ok
 
 
-def test_phi_side_at_any_shift_order(monkeypatch):
-    # up by one, repeated, down, a jump: each side equals phi0 ratio^n, and
-    # each order has one table, grown to the largest shift asked
-    monkeypatch.setattr(ps, "_phi_sides", {})
+def test_phi_identity_rejects_a_negative_shift():
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ps.verify_phi_identity(n, 10)
+
+
+def test_phi_side_at_any_shift_order():
+    # up by one, repeated, down, a jump: each side equals phi0 ratio^n by
+    # repeated products from the ring's own reciprocal of 1 - x - x^2
     order = 18
     phi0 = ps.TruncatedSeries([1, -1, -1], order).reciprocal()
     ratio = ps.TruncatedSeries([1, 1], order) * phi0
@@ -316,10 +321,21 @@ def test_phi_side_at_any_shift_order(monkeypatch):
         side = phi0
         for _ in range(n):
             side = side * ratio
+        assert ps._phi_side(n, order) == side
         assert ps.verify_phi_identity(n, order).ok
-        assert ps._phi_sides[order].value(n) == side
-    assert list(ps._phi_sides) == [order]
-    assert ps._phi_sides[order].max_n == 8
+
+
+def test_phi_side_at_a_large_shift():
+    # phi0 ratio^n = (1+x)^n / (1-x-x^2)^(n+1).  (1-x-x^2)^m is
+    # sum_i C(m, i) (-1)^i x^i (1+x)^i by the binomial theorem, so the side
+    # times it is (1+x)^n, each term a binomial coefficient
+    n, order = 2000, 200
+    signed = [(-1) ** i * math.comb(n + 1, i) for i in range(order + 1)]
+    denominator = [
+        sum(signed[i] * math.comb(i, j - i) for i in range(j + 1)) for j in range(order + 1)
+    ]
+    cleared = ps._phi_side(n, order) * TruncatedSeries(denominator, order)
+    assert cleared.coeffs == [math.comb(n, j) for j in range(order + 1)]
 
 
 def test_both_rings_invert_by_the_one_newton_iteration(monkeypatch):
