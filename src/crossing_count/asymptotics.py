@@ -1,8 +1,9 @@
 """Growth constants and asymptotic approximations for the k = 3 counts.
 
 The exponential growth rate of the structure counts is 1/rho_k, where
-rho_k is the smallest positive solution of theta(z) = r_k and r_k is the
-radius of convergence of sum f_k(2n,0) z^(2n), exactly 1/(2(k-1)) since
+rho_k is the smallest positive solution of theta(z) = r_k, theta = w/u
+with the package's u = U and w = W, and r_k is the radius of
+convergence of sum f_k(2n,0) z^(2n), exactly 1/(2(k-1)) since
 f_k(2n,0) ~ c_k n^(-((k-1)^2 + (k-1)/2)) (2(k-1))^(2n) (Grabiner &
 Magyar 1993; Chen, Deng, Du, Stanley & Yan 2007).  Clearing
 theta(z) = r_k gives a quartic, z^4 - 5z^3 - z^2 + 5z - 1 for k = 3,
@@ -26,7 +27,13 @@ every repeated factor, so a multiple root comes out exact; the
 squarefree rest is solved by Aberth-Ehrlich iteration whose Newton
 corrections are each rounded once from exact Gaussian-integer values.
 A real root is then made exactly real by the same exact bisection, so
-the +r_k quartic's list holds rho_k bit for bit.
+the +r_k quartic's list holds rho_k bit for bit, and a purely imaginary
+root exactly imaginary.
+
+Every value at a float z = p/q is rounded once from exact integers: u,
+w and their derivatives come from U and W, and _value gives q^d P(p/q).
+So theta, the residual |theta(rho_k) - r_k| and the singular constants
+u(rho_3), u'(rho_3) and g'(rho_3) carry no float evaluation error.
 
 Only the functions that need exact counts (estimate_rk, kprime and
 estimate_kprime through it) import the counting layers, so solving a
@@ -39,6 +46,8 @@ import itertools
 import math
 import sys
 from collections import namedtuple
+
+from . import U, W
 
 # The paper's printed K'; lim K'(n) is (8 g'(rho) rho)^4 / (pi u(rho)) = 6.55545.
 KPRIME = 6.11170
@@ -90,6 +99,20 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of integer polynomials, primitive if b is, by a pseudo-remainder
+    sequence: every step stays in the integers."""
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+    return a
+
+
+def _derivative(p) -> list[int]:
+    """The derivative of a polynomial, highest degree first."""
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
 def _quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b for integer polynomials when b is primitive and divides a."""
     quotient = []
@@ -105,10 +128,10 @@ def _roots(p: list[int], degree: int | None = None) -> list[complex]:
     Exact roots at 0 are split off, then the squarefree part p / gcd(p, p')
     is solved by _aberth and gcd(p, p') recursively, so a root of
     multiplicity m comes out as exactly as a simple one rather than as a
-    cluster about eps^(1/m) wide.  The gcd is a primitive pseudo-remainder
-    sequence, so every step stays in the integers and the division is exact.
-    _aberth judges each factor's float range by degree, that of the
-    polynomial the caller gave, and each simple root goes through _as_real.
+    cluster about eps^(1/m) wide.  The gcd is primitive, so the division
+    is exact.  _aberth judges each factor's float range by degree, that of
+    the polynomial the caller gave, and each simple root goes through
+    _as_real.
     """
     if degree is None:
         degree = len(p) - 1
@@ -116,25 +139,34 @@ def _roots(p: list[int], degree: int | None = None) -> list[complex]:
     zeros = [0j] * (len(p) - len(kept))
     if len(kept) == 1:
         return zeros
-    n = len(kept) - 1
-    gcd, rest = kept, _primitive([c * (n - i) for i, c in enumerate(kept[:-1])])
-    while rest:
-        gcd, rest = rest, _pseudo_remainder(gcd, rest)
+    gcd = _gcd(kept, _primitive(_derivative(kept)))
     squarefree = _quotient(kept, gcd)
     simple = [_as_real(squarefree, z) for z in _aberth(squarefree, degree)]
     return zeros + simple + _roots(gcd, degree)
 
 
 def _as_real(p: list[int], z: complex) -> complex:
-    """z, or the float nearest a real root of p if z is one blurred by at
-    most s = 4 ulp(|z|): |Im z| <= s and p changes sign, exactly, between
-    Re z - s and Re z + s."""
+    """z, or the float nearest a real or purely imaginary root of p if z is
+    one blurred by at most s = 4 ulp(|z|).  Real: |Im z| <= s and p changes
+    sign, exactly, between Re z - s and Re z + s.  Imaginary: |Re z| <= s
+    and g changes sign between Im z - s and Im z + s, where g is the gcd of
+    the real and imaginary parts of p(iy) as integer polynomials in y, so
+    iy is a root of p exactly where y is a root of g."""
     s = 4 * math.ulp(abs(z))
-    if abs(z.imag) <= s:
-        try:
+    try:
+        if abs(z.imag) <= s:
             return complex(_nearest_float_root(p, z.real - s, z.real + s), 0.0)
-        except ValueError:  # no sign change there: z is not real
-            pass
+        if abs(z.real) <= s:
+            # c z^j is c i^j y^j at z = iy: Re i^j is (1, 0, -1, 0)[j % 4], and
+            # Im i^j = Re i^(j-1)
+            n = len(p) - 1
+            re, im = (
+                [c * (1, 0, -1, 0)[(n - i - shift) % 4] for i, c in enumerate(p)] for shift in (0, 1)
+            )
+            re, im = (_primitive(list(itertools.dropwhile(lambda c: c == 0, q))) for q in (re, im))
+            return complex(0.0, _nearest_float_root(_gcd(re, im), z.imag - s, z.imag + s))
+    except ValueError:  # no sign change there: z is neither
+        pass
     return z
 
 
@@ -206,24 +238,17 @@ def _aberth(p: list[int], degree: int) -> list[complex]:
     raise ValueError(f"Aberth iteration did not settle in {_MAX_SWEEPS} sweeps")
 
 
+_U, _W = U[::-1], W[::-1]  # highest degree first, like every polynomial here
+
+
 def theta(z: float) -> float:
-    """The radius map z(1-z)(1+z) / (-(z^2-1/2)^2 + z(z^2-1/2) - z/2 + 5/4).
-
-    The denominator equals 1 - z + z^2 + z^3 - z^4.
-    """
-    w = z * z - 0.5
-    den = -(w * w) + z * w - z / 2 + 1.25
-    if abs(den) < 1e-14:
+    """The radius map w(z)/u(z), rounded once from the exact integers q^3 w
+    and q^4 u at z = p/q; ValueError where |u(z)| < 1e-14, near a pole."""
+    p, q = z.as_integer_ratio()
+    u = _value(_U, p, q)
+    if abs(u / q**4) < 1e-14:
         raise ValueError(f"pole of the radius map at z={z}")
-    return z * (1 - z) * (1 + z) / den
-
-
-def _u(z: float) -> float:
-    return 1 - z + z * z + z**3 - z**4
-
-
-def _u_prime(z: float) -> float:
-    return -1 + 2 * z + 3 * z * z - 4 * z**3
+    return q * _value(_W, p, q) / u
 
 
 def estimate_rk(k: int, n_max: int) -> float:
@@ -261,9 +286,9 @@ class GrowthReport(namedtuple("GrowthReport", "k radius rho growth_rate residual
 
 
 def _cleared(num: int, den: int) -> tuple[int, int, int, int, int]:
-    """den * ((z - z^3) - r (1 - z + z^2 + z^3 - z^4)) for r = num/den, as
-    integer coefficients, highest degree first."""
-    return (num, -(den + num), -num, den + num, -num)
+    """den w - num u, highest degree first: theta(z) = num/den cleared to
+    an integer quartic (theta = w/u)."""
+    return tuple(den * c - num * d for c, d in itertools.zip_longest(W, U, fillvalue=0))[::-1]
 
 
 def _value(coeffs, p: int, q: int) -> int:
@@ -304,18 +329,19 @@ def _nearest_float_root(coeffs, lo: float, hi: float) -> float:
 def compute_rho(k: int) -> GrowthReport:
     """Smallest positive real solution of theta(z) = r_k, r_k = 1/(2(k-1)).
 
-    rho_k is the float nearest the root of the cleared quartic
-    (z - z^3) - r_k (1 - z + z^2 + z^3 - z^4) in [r_k/2, 1/2], and the
-    growth rate the float nearest the root of the reversed quartic, whose
-    roots are the reciprocals, in [2, 2/r_k]; both by exact bisection.
+    rho_k is the float nearest the root of the cleared quartic 2(k-1) w - u
+    in [r_k/2, 1/2], and the growth rate the float nearest the root of the
+    reversed quartic, whose roots are the reciprocals, in [2, 2/r_k]; both
+    by exact bisection.
     Each bracket holds one root and no other: the numerator of theta' is
     1 - 4z^2 + 2z^4 - z^6 = (1 - 4z^2) + z^4 (2 - z^2), positive on
     [0, 1/2], so theta increases there, up to theta(1/2) = 6/13 > r_k;
     and u(z) >= 1 - z gives theta(z) <= (8/7) z for z <= 1/8, so
-    theta(r_k/2) < r_k.  u > 0 there, so the quartic u (theta - r_k)
-    has the roots of theta = r_k.  A k whose 2/r_k is past half the
-    float range raises ValueError.  The result is cached, as rho_3
-    serves several K' values in one command.
+    theta(r_k/2) < r_k.  u > 0 there, so the quartic 2(k-1) u (theta - r_k)
+    has the roots of theta = r_k, and the residual |theta(rho_k) - r_k|
+    is |quartic| / (2(k-1) u) at rho_k, exact up to its one rounding.  A
+    k whose 2/r_k is past half the float range raises ValueError.  The
+    result is cached, as rho_3 serves several K' values in one command.
     """
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
@@ -325,12 +351,13 @@ def compute_rho(k: int) -> GrowthReport:
     quartic = _cleared(1, den)
     rho = _nearest_float_root(quartic, 1 / (2 * den), 0.5)
     growth_rate = _nearest_float_root(quartic[::-1], 2.0, float(2 * den))
-    r_k = 1 / den
-    return GrowthReport(k, r_k, rho, growth_rate, abs(theta(rho) - r_k))
+    p, q = rho.as_integer_ratio()
+    residual = abs(_value(quartic, p, q)) / (den * _value(_U, p, q))
+    return GrowthReport(k, 1 / den, rho, growth_rate, residual)
 
 
 def singularities_for_radius(report: GrowthReport) -> list[complex]:
-    """All eight roots of (z - z^3) = +-r_k (1 - z + z^2 + z^3 - z^4).
+    """All eight roots of w(z) = +-r_k u(z).
 
     These are the singularities the radius map induces from the pair of
     dominant singularities +-r_k; for k = 3 they are the roots of
@@ -420,9 +447,9 @@ class SingularConstants(
 
 
 def singular_constants_check() -> SingularConstants:
-    """u(rho_3), u'(rho_3) and g'(rho_3) for g(z) = (z - z^3)/u(z)."""
+    """u(rho_3), u'(rho_3) and g'(rho_3) for g = w/u, each rounded once from
+    exact integers at rho_3 = p/q: q^4 u, q^3 u', q^3 w and q^2 w'."""
     rho = compute_rho(3).rho
-    uv = _u(rho)
-    du = _u_prime(rho)
-    dg = ((1 - 3 * rho * rho) * uv - (rho - rho**3) * du) / (uv * uv)
-    return SingularConstants(rho=rho, u_value=uv, u_derivative=du, g_derivative=dg)
+    p, q = rho.as_integer_ratio()
+    u, du, w, dw = (_value(c, p, q) for c in (_U, _derivative(_U), _W, _derivative(_W)))
+    return SingularConstants(rho, u / q**4, du / q**3, q * q * (dw * u - w * du) / (u * u))

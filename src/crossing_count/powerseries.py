@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from . import BudgetExceededError, counting, structures
+from . import U, W, BudgetExceededError, counting, structures
 
 # Every verify_* refuses an order past this before any table grows (see
 # _sequence): the series coefficients grow with the order, and
@@ -401,13 +401,14 @@ def _sequence(term, k: int, order: int) -> TruncatedSeries:
 
 
 def _substitution(
-    name: str, term, k: int, order: int, numerator: list[int], denominator: list[int]
+    name: str, term, k: int, order: int, numerator: tuple[int, ...], denominator: tuple[int, ...]
 ) -> IdentityReport:
     """sum term(k, n) x^n  ==  1/D * F_k(N/D), F_k(y) = sum f_k(2m,0) y^(2m).
 
-    N and D are polynomial coefficient lists with N(0) = 0 and D(0) = 1, so
-    the right side stays in Z[[x]].  Left side from the counts, right side
-    rebuilt through series arithmetic only; the two routes are independent.
+    N and D are polynomial coefficients, lowest degree first, with N(0) = 0
+    and D(0) = 1, so the right side stays in Z[[x]].  Left side from the
+    counts, right side rebuilt through series arithmetic only; the two
+    routes are independent.
     F_k(w) is composed as G(w^2), G(y) = sum f_k(2m,0) y^m: the same series,
     since f_k(n, 0) = 0 at odd n, from a polynomial of half the degree.
     """
@@ -423,18 +424,13 @@ def _substitution(
 
 def verify_laplace_identity(k: int, order: int) -> IdentityReport:
     """sum T_k(n) x^n  ==  1/(1-x) * sum f_k(2n,0) (x/(1-x))^(2n)."""
-    return _substitution(f"laplace(k={k})", counting.tk_total, k, order, [0, 1], [1, -1])
+    return _substitution(f"laplace(k={k})", counting.tk_total, k, order, (0, 1), (1, -1))
 
 
 def verify_functional_equation(k: int, order: int) -> IdentityReport:
-    """sum S_{k,3}(n) x^n against the arc-length-3 substitution.
-
-    Right side: 1/u(x) * sum f_k(2n,0) ((x-x^3)/u(x))^(2n) with
-    u(x) = 1 - x + x^2 + x^3 - x^4.
-    """
-    return _substitution(
-        f"functional(k={k})", structures.s_k3, k, order, [0, 1, 0, -1], [1, -1, 1, 1, -1]
-    )
+    """sum S_{k,3}(n) x^n  ==  1/u * sum f_k(2n,0) (w/u)^(2n), the
+    arc-length-3 substitution with the package's u = U and w = W."""
+    return _substitution(f"functional(k={k})", structures.s_k3, k, order, W, U)
 
 
 def _phi_side(n: int, order: int) -> TruncatedSeries:

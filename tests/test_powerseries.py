@@ -14,7 +14,8 @@ from helpers import (
     schoolbook_product,
     schoolbook_reciprocal,
 )
-from crossing_count import counting, structures
+from crossing_count import U, W, counting, structures
+from crossing_count import asymptotics as asy
 from crossing_count import powerseries as ps
 from crossing_count.powerseries import HurwitzSeries, TruncatedSeries
 
@@ -336,6 +337,43 @@ def test_phi_side_at_a_large_shift():
     ]
     cleared = ps._phi_side(n, order) * TruncatedSeries(denominator, order)
     assert cleared.coeffs == [math.comb(n, j) for j in range(order + 1)]
+
+
+def test_u_and_w_tie_the_lam_weights_phi_sides_and_quartic_together():
+    # the package's one statement of the substitution against the model's
+    # other two: the lam recursion and the phi sides' Fibonacci run
+    order = 200
+    # lam's generating function at y = -1 is 1/u
+    signed = [
+        sum((-1) ** b * structures.lambda_weight(n, b) for b in range(n // 2 + 1))
+        for n in range(order + 1)
+    ]
+    assert signed == TruncatedSeries(U, order).reciprocal().coeffs
+    # phi0 ratio^n = Q^n / P^(n+1), P = 1 - x - x^2 from u's even part and
+    # Q = 1 + x from w's odd part
+    p = TruncatedSeries([(-1) ** i * c for i, c in enumerate(U[::2])], order)
+    q = TruncatedSeries([(-1) ** i * c for i, c in enumerate(W[1::2])], order)
+    for n in (0, 1, 5):
+        cleared, power = ps._phi_side(n, order), TruncatedSeries([1], order)
+        for _ in range(n + 1):
+            cleared = cleared * p
+        for _ in range(n):
+            power = power * q
+        assert cleared == power
+    # w is minus the odd part of u
+    assert [-c if i % 2 else 0 for i, c in enumerate(U)] == list(W) + [0]
+    # theta(z) = 1/4 clears to the README's quartic
+    assert asy._cleared(1, 4) == (1, -5, -1, 5, -1)
+
+
+@pytest.mark.parametrize("k", [*range(3, 13), 10**6, 10**7])
+def test_growth_residual_is_exact(k):
+    # |theta(rho_k) - r_k| rounded once from the exact rational, with theta
+    # written out here rather than read from U and W
+    report = asy.compute_rho(k)
+    z = Fraction(report.rho)
+    theta = (z - z**3) / (1 - z + z**2 + z**3 - z**4)
+    assert report.residual == float(abs(theta - Fraction(1, 2 * (k - 1))))
 
 
 def test_both_rings_invert_by_the_one_newton_iteration(monkeypatch):
