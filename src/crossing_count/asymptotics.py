@@ -401,15 +401,14 @@ def scaled_count(value: int, base: float, n: int) -> float:
     return scaled
 
 
-def kprime(n: int) -> float:
+def kprime(n: int, count: int | None = None) -> float:
     """K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4!, the normalized count."""
     from . import structures
 
     ff = _falling_factorial(n)
     rho = compute_rho(3).rho
-    return math.exp(
-        math.log(structures.s_k3(3, n)) + n * math.log(rho) + math.log(ff) - math.log(24)
-    )
+    count = structures.s_k3(3, n) if count is None else count
+    return math.exp(math.log(count) + n * math.log(rho) + math.log(ff) - math.log(24))
 
 
 class KprimeReport(namedtuple("KprimeReport", "n_max estimate raw_last")):
@@ -420,12 +419,18 @@ class KprimeReport(namedtuple("KprimeReport", "n_max estimate raw_last")):
     __slots__ = ()
 
 
-def estimate_kprime(n_max: int) -> KprimeReport:
-    """K'(n_max) and the extrapolated limit of K'(n) from four nodes."""
+def kprime_nodes(n_max: int) -> list[int]:
+    """The four nodes of estimate_kprime, largest first."""
+    return [n_max // 2**i for i in range(4)]
+
+
+def estimate_kprime(n_max: int, counts: dict[int, int] | None = None) -> KprimeReport:
+    """K'(n_max) and the extrapolated limit of K'(n) from four nodes, with
+    S_{3,3} there from counts when the caller has them from its own pass."""
     if n_max < 50:
         raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
-    nodes = [n_max // 2**i for i in range(4)]
-    values = {i: kprime(i) for i in nodes}
+    nodes = kprime_nodes(n_max)
+    values = {i: kprime(i, None if counts is None else counts[i]) for i in nodes}
     # Lagrange interpolation in h = 1/n at h = 0: the weight of node i is
     # prod over j != i of h_j / (h_j - h_i) = i / (i - j)
     estimate = sum(values[i] * math.prod(i / (i - j) for j in nodes if j != i) for i in nodes)

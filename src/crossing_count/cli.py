@@ -126,15 +126,19 @@ def open_cache(args) -> CountCache | None:
     return CountCache(path) if path else None
 
 
-def structure_count(k: int, n: int, ell: int | None, cache: CountCache | None) -> int:
-    value = None if cache is None else cache.get(k, n, ell)
-    if value is None:
+def structure_counts(k: int, ns, ell: int | None, cache: CountCache | None) -> dict:
+    """S_{k,3}(n), with ell isolated vertices if given, at each n of ns: from the
+    cache where it has them, else from one s_k3_at pass, then cached."""
+    counts = {} if cache is None else {n: cache.get(k, n, ell) for n in ns}
+    missing = [n for n in ns if counts.get(n) is None]
+    if missing:
         from . import structures
 
-        value = structures.s_k3(k, n) if ell is None else structures.s_k3_by_isolated(k, n, ell)
-        if cache is not None:
-            cache.put(k, n, ell, value)
-    return value
+        counts.update(zip(missing, structures.s_k3_at(k, missing, ell)))
+    if cache is not None:
+        for n in missing:
+            cache.put(k, n, ell, counts[n])
+    return counts
 
 
 def base(args) -> float:

@@ -17,11 +17,10 @@ def add_arguments(parser) -> None:
 
 def run(args) -> int:
     base = cli.base(args)
-    # the larger n first: a row past a table's bound is refused before any is computed
-    report = None
-    if args.n_max is not None and args.n_max > args.n:
-        report = asymptotics.estimate_kprime(args.n_max)
-    count = cli.structure_count(3, args.n, None, cli.open_cache(args))
+    # one pass for n and the K' nodes: the largest row is refused before any is computed
+    nodes = [] if args.n_max is None else asymptotics.kprime_nodes(args.n_max)
+    counts = cli.structure_counts(3, [args.n, *nodes], None, cli.open_cache(args))
+    count = counts[args.n]
     exact = asymptotics.scaled_count(count, base, args.n)
     asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
     ratio = None if asym is None else exact / asym
@@ -40,8 +39,7 @@ def run(args) -> int:
         "ratio": None if ratio is None else f"{ratio:.6f}",
     }
     if args.n_max is not None:
-        if report is None:
-            report = asymptotics.estimate_kprime(args.n_max)
+        report = asymptotics.estimate_kprime(args.n_max, counts)
         payload["kprime_raw"] = f"{report.raw_last:.6f}"
         payload["kprime_estimate"] = f"{report.estimate:.6f}"
         payload["kprime_limit"] = f"{asymptotics.singular_constants_check().kprime_limit:.6f}"

@@ -11,7 +11,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
-    value = cli.structure_count(args.k, args.n, args.ell, cli.open_cache(args))
+    value = cli.structure_counts(args.k, [args.n], args.ell, cli.open_cache(args))[args.n]
     payload = {"k": args.k, "n": args.n, "ell": args.ell, "count": str(value)}
     cli.emit(args.format, payload, [payload], [str(value)])
     return cli.EXIT_OK

@@ -24,11 +24,10 @@ def run(args) -> int:
     if args.digits > 17:  # a double carries at most 17 significant digits
         raise ValueError(f"table needs --digits <= 17, got {args.digits}")
     base = cli.base(args)
-    cache = cli.open_cache(args)
     records, text = [], [f"base = {base:.10g}", f"{'n':>6}  {'exact':>14}  {'asymptotic':>14}"]
     ns = range(args.step, args.n_max + 1, args.step)
-    # largest n first: a row past a table's bound is refused before any is computed or cached
-    counts = {n: cli.structure_count(3, n, None, cache) for n in reversed(ns)}
+    # one pass for every row: the largest is refused before any is computed or cached
+    counts = cli.structure_counts(3, ns, None, cli.open_cache(args))
     for n in ns:
         exact = asymptotics.scaled_count(counts[n], base, n)
         asym = asymptotics.subexp_factor(n) if n >= 5 else None

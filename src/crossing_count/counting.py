@@ -83,14 +83,22 @@ class RecurrenceTable(GrowingTable):
 
     def __init__(self, coefficients, initial):
         super().__init__(initial)
-        self._polys = coefficients
+        self._polys = [p[::-1] for p in coefficients]  # highest degree first
 
     def _step(self) -> None:
         n, terms = len(self._terms), self._terms
-        lead, *rest = (sum(c * n**j for j, c in enumerate(p)) for p in self._polys)
+        lead = total = 0
+        for i, p in enumerate(self._polys):
+            value = 0
+            for c in p:  # Horner's rule
+                value = value * n + c
+            if i:
+                total += value * terms[n - i]
+            else:
+                lead = value
         if not lead:
             raise ArithmeticError(f"leading coefficient vanishes at n={n}")
-        quotient, remainder = divmod(-sum(p * terms[n - i] for i, p in enumerate(rest, 1)), lead)
+        quotient, remainder = divmod(-total, lead)
         if remainder:
             raise ArithmeticError(f"recurrence leaves remainder {remainder} at n={n}")
         terms.append(quotient)

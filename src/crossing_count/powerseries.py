@@ -388,22 +388,27 @@ def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityR
     return IdentityReport(name, lhs.order, True)
 
 
-def _sequence(term, k: int, order: int) -> TruncatedSeries:
-    """sum term(k, n) x^n, truncated at order.
+def _sequence(terms, k: int, order: int) -> TruncatedSeries:
+    """sum terms(k, range(order + 1))[n] x^n, truncated at order.
 
     Every identity check reads its counts here before any other work.  An
-    order past MAX_ORDER is refused, and the largest term is read first, so
-    a count past a table's bound is refused before that table grows.
+    order past MAX_ORDER is refused before terms runs, which reads its largest
+    term first, so a count past a table's bound is refused before it grows.
     """
     if order > MAX_ORDER:
         raise BudgetExceededError(f"series order {order} is past the bound of {MAX_ORDER}")
-    return TruncatedSeries([term(k, n) for n in range(order, -1, -1)][::-1], order)
+    return TruncatedSeries(terms(k, range(order + 1)), order)
+
+
+def _each(term):
+    """terms(k, ns) from term(k, n), read largest n first: see _sequence."""
+    return lambda k, ns: [term(k, n) for n in reversed(ns)][::-1]
 
 
 def _substitution(
-    name: str, term, k: int, order: int, numerator: tuple[int, ...], denominator: tuple[int, ...]
+    name: str, terms, k: int, order: int, numerator: tuple[int, ...], denominator: tuple[int, ...]
 ) -> IdentityReport:
-    """sum term(k, n) x^n  ==  1/D * F_k(N/D), F_k(y) = sum f_k(2m,0) y^(2m).
+    """sum terms(k, ns)[n] x^n  ==  1/D * F_k(N/D), F_k(y) = sum f_k(2m,0) y^(2m).
 
     N and D are polynomial coefficients, lowest degree first, with N(0) = 0
     and D(0) = 1, so the right side stays in Z[[x]].  Left side from the
@@ -412,8 +417,8 @@ def _substitution(
     F_k(w) is composed as G(w^2), G(y) = sum f_k(2m,0) y^m: the same series,
     since f_k(n, 0) = 0 at odd n, from a polynomial of half the degree.
     """
-    lhs = _sequence(term, k, order)
-    f_k = _sequence(counting.fk_perfect, k, order)
+    lhs = _sequence(terms, k, order)
+    f_k = _sequence(_each(counting.fk_perfect), k, order)
     if any(f_k.coeffs[1::2]):
         raise ArithmeticError(f"f_{k}(n, 0) is nonzero at an odd n")
     inverse = TruncatedSeries(denominator, order).reciprocal()
@@ -424,13 +429,13 @@ def _substitution(
 
 def verify_laplace_identity(k: int, order: int) -> IdentityReport:
     """sum T_k(n) x^n  ==  1/(1-x) * sum f_k(2n,0) (x/(1-x))^(2n)."""
-    return _substitution(f"laplace(k={k})", counting.tk_total, k, order, (0, 1), (1, -1))
+    return _substitution(f"laplace(k={k})", _each(counting.tk_total), k, order, (0, 1), (1, -1))
 
 
 def verify_functional_equation(k: int, order: int) -> IdentityReport:
     """sum S_{k,3}(n) x^n  ==  1/u * sum f_k(2n,0) (w/u)^(2n), the
     arc-length-3 substitution with the package's u = U and w = W."""
-    return _substitution(f"functional(k={k})", structures.s_k3, k, order, W, U)
+    return _substitution(f"functional(k={k})", structures.s_k3_at, k, order, W, U)
 
 
 def _phi_side(n: int, order: int) -> TruncatedSeries:
@@ -452,10 +457,11 @@ def _phi_side(n: int, order: int) -> TruncatedSeries:
 
 
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
-    """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n."""
+    """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n, the left
+    side read off one lam scan as slots of its packed rows, none unpacked."""
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
-    lhs = _sequence(lambda shift, b: structures.lambda_weight(shift + 2 * b, b), n, order)
+    lhs = _sequence(lambda n, bs: structures.lambda_diagonal(n, bs[-1]), n, order)
     return _compare(f"phi(n={n})", lhs, _phi_side(n, order))
 
 
@@ -471,7 +477,7 @@ def verify_bessel_egf(k: int, order: int) -> IdentityReport:
     if k > MAX_BESSEL_K:
         raise BudgetExceededError(f"Bessel k = {k} is past the bound of {MAX_BESSEL_K}")
     # the counts before the determinant, so a refused walk term costs no series work
-    f_k, t_k = (_sequence(term, k, order) for term in (counting.fk_perfect, counting.tk_total))
+    f_k, t_k = (_sequence(_each(t), k, order) for t in (counting.fk_perfect, counting.tk_total))
     det = determinant(bessel_matrix(k, order))
     for name, egf, counts in (
         (f"bessel-det(k={k})", det, f_k),

@@ -8,91 +8,95 @@ configurations of b forbidden short arcs, and
     S_{k,3}(n) = sum_b (-1)^b * lam(n, b) * T_k(n - 2b),
 
 with the analogous sum against f_k(n - 2b, ell) when the number of
-isolated vertices is prescribed.  The weights satisfy the four-term
-recursion
+isolated vertices is prescribed.  The weights satisfy
 
     lam(n, b) = lam(n-1, b) + lam(n-2, b-1) + lam(n-3, b-1) + lam(n-4, b-2)
 
-with lam(n, 0) = 1 and lam(n, b) = 0 for b < 0 or 2b > n; that boundary
-is the unique one reproducing lam(n, 1) = 2n - 3 for n >= 2 and making
-the diagonal lam(2b, b) Fibonacci.  Each row lam(m, .) of the table
-sums four shifted earlier rows; a row past MAX_LAMBDA_ROW is refused
-before the table grows.  All arithmetic is exact integer; despite the
-alternating signs every count is nonnegative.
+with lam(n, 0) = 1 and lam(n, b) = 0 for b < 0 or 2b > n, so lam(n, 1) =
+2n - 3 for n >= 2 and lam(2b, b) is Fibonacci.  No table is kept: one
+forward scan to the top row holds four rows, row m one integer with
+lam(m, b) in slot b, B > top bits wide.  No slot carries: the row sums obey
+s(m) = s(m-1) + s(m-2) + s(m-3) + s(m-4) with s(1..4) = 1, 2, 4, 8, so by
+induction lam(m, b) <= s(m) <= 2^(m-1) < 2^B.  A top row past
+MAX_LAMBDA_ROW, then the largest count, are refused before the scan.  All
+arithmetic is exact integer; despite the alternating signs every count is
+nonnegative.
 """
+
+from itertools import islice
 
 from . import counting
 
-# The lam table keeps about n^2/4 bigints, so rows past this one are refused
-# before it grows; building it to row 3000 takes about 2 s and 520 MiB.
+# A scan to row 3000 takes about 1 s (its rows grow like m^2 bits), so rows
+# past that are refused before a scan starts.
 MAX_LAMBDA_ROW = 3000
 
 
-class LambdaTable(counting.GrowingTable):
-    """Rows lam(m, .) of the short-arc weights, one list per m."""
-
-    def __init__(self):
-        super().__init__([[1]])
-
-    def _step(self) -> None:
-        # row(m) = row(m-1) + [0]+row(m-2) + [0]+row(m-3) + [0,0]+row(m-4), padded
-        m = len(self._terms)
-        shifted = []
-        for back, shift in ((1, 0), (2, 1), (3, 1), (4, 2)):
-            row = self._terms[m - back] if back <= m else []
-            shifted.append([0] * shift + row + [0] * (m // 2 + 1 - shift - len(row)))
-        self._terms.append([a + b + c + d for a, b, c, d in zip(*shifted)])
-
-
-_table = LambdaTable()
+def _rows(top: int):
+    """Yield the slot width B, in whole bytes, then the packed rows 0..top: the
+    recursion is row(m) = q(m-1) + q(m-3) 2^B with q(m) = row(m) + row(m-1) 2^B."""
+    if top > MAX_LAMBDA_ROW:
+        raise counting.BudgetExceededError(f"lam row {top} is past the bound of {MAX_LAMBDA_ROW}")
+    width = top // 8 * 8 + 8
+    yield width
+    row, q1, q2, q3 = 1, 1, 0, 0  # row(0), q(0), q(-1), q(-2)
+    yield row
+    for _ in range(top):
+        new = q1 + (q3 << width)
+        row, q1, q2, q3 = new, new + (row << width), q1, q2
+        yield row
 
 
-def _check_row(n: int) -> None:
-    """Refuse a lam row past MAX_LAMBDA_ROW before the table grows."""
-    if n > MAX_LAMBDA_ROW:
-        raise counting.BudgetExceededError(f"lam row {n} is past the bound of {MAX_LAMBDA_ROW}")
+def lambda_diagonal(shift: int, order: int) -> list[int]:
+    """lam(shift + 2b, b) for b = 0..order: slot b of every other row of one scan."""
+    rows = _rows(shift + 2 * order)
+    width = next(rows)
+    mask = (1 << width) - 1
+    return [row >> b * width & mask for b, row in enumerate(islice(rows, shift, None, 2))]
 
 
 def lambda_weight(n: int, b: int) -> int:
     """Weight lam(n, b); zero outside 0 <= 2b <= n."""
-    _check_row(n)
-    row = _table.value(n)
-    return row[b] if 0 <= b < len(row) else 0
+    if n < 0:
+        raise ValueError(f"lam row must be nonnegative, got {n}")
+    return lambda_diagonal(n - 2 * b, b)[b] if 0 <= 2 * b <= n else 0
 
 
-def _signed_sum(k: int, n: int, ell: int | None) -> int:
-    """sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell.
-
-    The row bound, then the largest count (b = 0, lam(n, 0) = 1), come
-    before the row is built, so a refused request grows no table.
-    """
+def s_k3_at(k: int, ns, ell: int | None = None) -> list[int]:
+    """S_{k,3}(n) at each n of ns, in order, from one scan to the largest:
+    sum_b (-1)^b lam(n, b) times T_k(n - 2b), or f_k(n - 2b, ell) for an ell."""
     if k < 3:
         raise ValueError(f"crossing bound k must be >= 3, got {k}")
+    if ell is not None and not 0 <= ell <= min(ns):
+        raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={min(ns)}")
 
     def count(m: int) -> int:
         return counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell)
 
-    _check_row(n)
-    value = count(n)
-    row = _table.value(n)
-    for b in range(1, (n - (ell or 0)) // 2 + 1):
-        term = row[b] * count(n - 2 * b)
-        value += -term if b % 2 else term
-    if value < 0:
-        where = f"k={k}, n={n}" + ("" if ell is None else f", ell={ell}")
-        raise ArithmeticError(f"signed sum collapsed below zero for {where}")
-    return value
+    rows = _rows(max(ns))
+    step = next(rows) // 8
+    if min(ns) < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {min(ns)}")
+    count(max(ns))  # the largest count: a refused one comes before the scan
+    values, wanted = {}, set(ns)
+    for n, row in enumerate(rows):
+        if n in wanted:
+            data = row.to_bytes(step * (n // 2 + 1), "little")
+            value = 0
+            for b in range((n - (ell or 0)) // 2 + 1):
+                term = int.from_bytes(data[b * step : (b + 1) * step], "little") * count(n - 2 * b)
+                value += -term if b % 2 else term
+            if value < 0:
+                raise ArithmeticError(f"signed sum collapsed below zero for k={k}, n={n}, ell={ell}")
+            values[n] = value
+    return [values[n] for n in ns]
 
 
 def s_k3(k: int, n: int) -> int:
     """Number of k-noncrossing structures on [n] with arc length >= 3."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    return _signed_sum(k, n, None)
+    return s_k3_at(k, [n])[0]
 
 
 def s_k3_by_isolated(k: int, n: int, ell: int) -> int:
     """Structures on [n] with exactly ell isolated vertices."""
-    if not 0 <= ell <= n:
-        raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    return _signed_sum(k, n, ell)
+    return s_k3_at(k, [n], ell)[0]

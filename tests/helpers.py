@@ -3,6 +3,7 @@ coefficient-loop oracles for series products and reciprocals, Horner's
 rule as the composition oracle, the rational Bessel series as the oracle
 for the Hurwitz determinant, a diagram's crossing number from its arc
 subsets, every partial matching on n vertices, the hook length formula as the oracle for the oracle's end orders,
+the four-term recursion and a closed sum as the oracles for the lam scan,
 significant-figure comparison and the environment for child processes."""
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import crossing_count
+from crossing_count import structures
 from crossing_count.powerseries import TruncatedSeries
 
 
@@ -233,6 +235,53 @@ def tableaux(shape) -> int:
             below = sum(1 for r in shape[i + 1 :] if r > j)
             hooks *= row - j + below
     return math.factorial(sum(shape)) // hooks
+
+
+def lambda_rows(top: int):
+    """Rows lam(0, .), ..., lam(top, .) as lists, each from four earlier
+    rows padded and shifted: the four-term recursion, the scan's oracle."""
+    rows = [[1]]
+    yield rows[0]
+    for m in range(1, top + 1):
+        shifted = []
+        for back, shift in ((1, 0), (2, 1), (3, 1), (4, 2)):
+            row = rows[-back] if back <= len(rows) else []
+            shifted.append([0] * shift + row + [0] * (m // 2 + 1 - shift - len(row)))
+        rows = [*rows[-3:], [a + b + c + d for a, b, c, d in zip(*shifted)]]
+        yield rows[-1]
+
+
+def lambda_closed(n: int, b: int) -> int:
+    """lam(n, b) from the phi identity's coefficient [x^b] (1+x)^a / (1-x-x^2)^(a+1),
+    a = n - 2b, expanded: independent of the recursion."""
+    a = n - 2 * b
+    return sum(math.comb(a + j, j) * math.comb(a + j, b - j) for j in range(b + 1))
+
+
+def scan_rows(top: int):
+    """The rows of one production scan to top, as lists: packed row m read
+    as m // 2 + 1 slots, so a nonzero bit past the last one raises."""
+    rows = structures._rows(top)
+    step = next(rows) // 8
+    for m, row in enumerate(rows):
+        data = row.to_bytes(step * (m // 2 + 1), "little")
+        yield [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+def scan_steps(monkeypatch) -> list[int]:
+    """A list that gets a scan's top row for each row the scan builds: it
+    stays empty while every scan is refused before its first row."""
+    steps, rows = [], structures._rows
+
+    def recorded(top):
+        scan = rows(top)
+        yield next(scan)  # the slot width; the row bound is checked before it
+        for row in scan:
+            steps.append(top)
+            yield row
+
+    monkeypatch.setattr(structures, "_rows", recorded)
+    return steps
 
 
 def matches_sig_figs(computed: float, printed: float, figures: int) -> bool:

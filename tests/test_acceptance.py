@@ -210,7 +210,8 @@ def test_criterion_7_kprime_convergence():
     start = time.time()
     failures = []
     report = asy.estimate_kprime(800)
-    values = {n: asy.kprime(n) for n in range(50, 501)}
+    ns = range(50, 501)
+    values = {n: asy.kprime(n, count) for n, count in zip(ns, structures.s_k3_at(3, ns))}
     not_increasing = [
         n for n in range(50, 500) if not values[n] < values[n + 1]
     ]

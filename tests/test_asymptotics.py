@@ -428,6 +428,17 @@ def test_imaginary_roots_are_exactly_imaginary():
         assert upper == lower
 
 
+@pytest.mark.xfail(strict=True, reason="_aberth stops within an ulp of |z|, above Im z = 1")
+def test_complex_pair_below_an_ulp_of_its_modulus_comes_out_conjugate():
+    # roots 1e20 +- i: Aberth-Ehrlich stops once a step is within an ulp of
+    # the root's modulus (16384 at 1e20), so the pair comes out unresolved
+    # as 1e20 + 3342.7i and 1e20 - 1373.5i
+    assert sorted(asy._roots([1, -2 * 10**20, 10**40 + 1]), key=lambda z: z.imag) == [
+        complex(1e20, -1),
+        complex(1e20, 1),
+    ]
+
+
 @pytest.mark.parametrize("k", [228948, 288537, 367783, 370547, 518642, 10**6, 10**7])
 def test_singularities_at_large_k_are_the_nearest_floats(k):
     # at these k the closed form dropped the root at rho_k or merged two
@@ -537,8 +548,12 @@ def test_estimate_kprime_counts_only_at_its_four_nodes(monkeypatch):
         return s_k3(k, n)
 
     monkeypatch.setattr(structures, "s_k3", counted)
-    asy.estimate_kprime(200)
+    report = asy.estimate_kprime(200)
     assert sorted(calls) == [(3, 25), (3, 50), (3, 100), (3, 200)]
+    # counts from the caller's own pass are read, not counted again
+    nodes = asy.kprime_nodes(200)
+    assert asy.estimate_kprime(200, dict(zip(nodes, structures.s_k3_at(3, nodes)))) == report
+    assert len(calls) == 4
 
 
 def test_estimate_kprime_extrapolates_to_the_limit():

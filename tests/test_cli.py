@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import package_env
+from helpers import package_env, scan_steps
 from crossing_count import asymptotics, cli, commands, counting, powerseries, structures
 from crossing_count.powerseries import IdentityReport
 from crossing_count.structures import s_k3
@@ -219,23 +219,23 @@ def test_count_without_recurrence_refuses_with_exit_3():
     assert proc.stderr.startswith("refused: ") and "shapes" in proc.stderr
 
 
-def test_oversized_table_is_refused_before_any_row(capsys):
-    rows = structures._table.max_n
+def test_oversized_table_is_refused_before_any_row(capsys, monkeypatch):
+    steps = scan_steps(monkeypatch)
     n_max = str(structures.MAX_LAMBDA_ROW + 10)
     code, out, err = run_cli(capsys, "table", "--n-max", n_max, "--step", "10")
     assert (code, out) == (3, "")
     assert err.startswith("refused: ")
-    assert structures._table.max_n == rows
+    assert steps == []
 
 
-def test_oversized_kprime_is_refused_before_the_count_at_n(capsys):
-    rows = structures._table.max_n
-    n = str(min(rows + 10, structures.MAX_LAMBDA_ROW))
+def test_oversized_kprime_is_refused_before_the_count_at_n(capsys, monkeypatch):
+    steps = scan_steps(monkeypatch)
     n_max = str(structures.MAX_LAMBDA_ROW + 10)
-    code, out, err = run_cli(capsys, "asym", "--n", n, "--n-max", n_max)
-    assert (code, out) == (3, "")
-    assert err.startswith("refused: ")
-    assert structures._table.max_n == rows
+    for n in ("60", str(structures.MAX_LAMBDA_ROW)):
+        code, out, err = run_cli(capsys, "asym", "--n", n, "--n-max", n_max)
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: ")
+    assert steps == []
 
 
 @pytest.mark.parametrize(
@@ -245,12 +245,12 @@ def test_oversized_kprime_is_refused_before_the_count_at_n(capsys):
 def test_oversized_walk_request_is_refused_before_any_step(capsys, monkeypatch, argv):
     fk_tables = {k: table for k, table in counting._fk_tables.items() if k != 8}
     monkeypatch.setattr(counting, "_fk_tables", fk_tables)
-    rows = structures._table.max_n
+    steps = scan_steps(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("refused: ") and "shapes" in err
     assert 8 not in fk_tables and 8 not in counting._tk_tables
-    assert structures._table.max_n == rows
+    assert steps == []
 
 
 def test_bessel_bound_refuses_verify_all_before_any_check(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from crossing_count import counting, structures, walks
+from crossing_count import counting, walks
 from crossing_count.oracle import BudgetExceededError, EnumSpec, enumerate_count
 
 
@@ -94,16 +94,10 @@ def _fresh_tk_table(monkeypatch, k):
     return table, functools.partial(counting.tk_total, k), len(counting.TK_RECURRENCES[k][1]) - 1
 
 
-def _fresh_lambda_table(monkeypatch):
-    table = structures.LambdaTable()
-    monkeypatch.setattr(structures, "_table", table)
-    return table, lambda n: structures.lambda_weight(n, 0), 0
-
-
 @pytest.mark.parametrize(
     "fresh",
-    [*(functools.partial(_fresh_tk_table, k=k) for k in range(2, 7)), _fresh_lambda_table],
-    ids=[*(f"tk_total-{k}" for k in range(2, 7)), "lambda_weight"],
+    [functools.partial(_fresh_tk_table, k=k) for k in range(2, 7)],
+    ids=[f"tk_total-{k}" for k in range(2, 7)],
 )
 def test_table_grows_no_further_than_asked(fresh, monkeypatch):
     table, query, initial_max_n = fresh(monkeypatch)
@@ -150,9 +144,8 @@ def test_walk_table_concurrent_growth_matches_sequential():
     [
         lambda: counting.RecurrenceTable(*counting.TK_RECURRENCES[3]),
         lambda: walks.WalkTable(3),
-        structures.LambdaTable,
     ],
-    ids=["RecurrenceTable", "WalkTable", "LambdaTable"],
+    ids=["RecurrenceTable", "WalkTable"],
 )
 def test_table_rejects_negative_index(make):
     filled = make()

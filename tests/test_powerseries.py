@@ -11,6 +11,8 @@ from helpers import (
     exponential,
     horner_compose,
     rational_bessel_matrix,
+    scan_rows,
+    scan_steps,
     schoolbook_product,
     schoolbook_reciprocal,
 )
@@ -344,10 +346,7 @@ def test_u_and_w_tie_the_lam_weights_phi_sides_and_quartic_together():
     # other two: the lam recursion and the phi sides' Fibonacci run
     order = 200
     # lam's generating function at y = -1 is 1/u
-    signed = [
-        sum((-1) ** b * structures.lambda_weight(n, b) for b in range(n // 2 + 1))
-        for n in range(order + 1)
-    ]
+    signed = [sum((-1) ** b * lam for b, lam in enumerate(row)) for row in scan_rows(order)]
     assert signed == TruncatedSeries(U, order).reciprocal().coeffs
     # phi0 ratio^n = Q^n / P^(n+1), P = 1 - x - x^2 from u's even part and
     # Q = 1 + x from w's odd part
@@ -390,9 +389,10 @@ def test_both_rings_invert_by_the_one_newton_iteration(monkeypatch):
     assert products == [ps._ordinary_product, ps._binomial_convolution]
 
 
-def test_oversized_checks_are_refused_before_any_table_grows():
+def test_oversized_checks_are_refused_before_any_table_grows(monkeypatch):
     order = ps.MAX_ORDER + 1
-    tables = (structures._table, counting._fk_tables[3], counting._tk_tables[3])
+    steps = scan_steps(monkeypatch)
+    tables = (counting._fk_tables[3], counting._tk_tables[3])
     rows = [table.max_n for table in tables]
     for check in (
         lambda: ps.verify_laplace_identity(3, order),
@@ -404,6 +404,7 @@ def test_oversized_checks_are_refused_before_any_table_grows():
         with pytest.raises(counting.BudgetExceededError, match="bound"):
             check()
     assert [table.max_n for table in tables] == rows
+    assert steps == []
 
 
 def test_bessel_check_asks_for_its_counts_before_the_determinant(monkeypatch):
@@ -575,8 +576,10 @@ def test_bessel_determinant_at_k_12():
 
 
 def test_functional_equation_pinpoints_a_wrong_structure_count(monkeypatch):
-    s_k3 = structures.s_k3
-    monkeypatch.setattr(structures, "s_k3", lambda k, n: s_k3(k, n) + (n == 7))
+    s_k3_at = structures.s_k3_at
+    monkeypatch.setattr(
+        structures, "s_k3_at", lambda k, ns: [c + (n == 7) for n, c in zip(ns, s_k3_at(k, ns))]
+    )
     report = ps.verify_functional_equation(3, 20)
     assert report.first_mismatch == 7
     assert report.describe() == "functional(k=3): MISMATCH at x^7 (lhs=41, rhs=40)"

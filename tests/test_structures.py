@@ -2,14 +2,20 @@ import math
 import random
 import subprocess
 import sys
-import threading
+from pathlib import Path
 
 import pytest
 
-from helpers import package_env
+from helpers import lambda_closed, lambda_rows, package_env, scan_rows, scan_steps
 from crossing_count import counting, structures, walks
 from crossing_count.oracle import EnumSpec, enumerate_count
-from crossing_count.structures import LambdaTable, lambda_weight, s_k3, s_k3_by_isolated
+from crossing_count.structures import (
+    lambda_diagonal,
+    lambda_weight,
+    s_k3,
+    s_k3_at,
+    s_k3_by_isolated,
+)
 
 
 def test_lambda_initial_conditions():
@@ -36,43 +42,79 @@ def test_lambda_linear_row():
 
 
 def test_lambda_recursion_closure():
+    rows = list(scan_rows(200))
     for n in range(4, 201):
         for b in range(n // 2 + 1):
-            assert lambda_weight(n, b) == (
-                lambda_weight(n - 1, b)
-                + lambda_weight(n - 2, b - 1)
-                + lambda_weight(n - 3, b - 1)
-                + lambda_weight(n - 4, b - 2)
+            assert rows[n][b] == sum(
+                rows[n - back][b - shift] if 0 <= b - shift < len(rows[n - back]) else 0
+                for back, shift in ((1, 0), (2, 1), (3, 1), (4, 2))
             )
 
 
 def test_lambda_matches_the_phi_expansion_to_200():
     # [x^b] (1+x)^a / (1-x-x^2)^(a+1), a = n - 2b, is the phi identity's
     # coefficient; expanding it gives a closed sum, independent of the recursion
-    for n in range(201):
-        for b in range(n // 2 + 1):
-            a = n - 2 * b
-            expected = sum(math.comb(a + j, j) * math.comb(a + j, b - j) for j in range(b + 1))
-            assert lambda_weight(n, b) == expected
+    for n, row in enumerate(scan_rows(200)):
+        assert row == [lambda_closed(n, b) for b in range(n // 2 + 1)]
+
+
+def test_lambda_diagonal_and_weight_match_the_closed_sum():
+    for shift in (*range(12), 99, 400):
+        assert lambda_diagonal(shift, 60) == [lambda_closed(shift + 2 * b, b) for b in range(61)]
+    rng = random.Random(25)
+    for n in (*range(12), *rng.sample(range(12, 1000), 4), 1000):
+        for b in {-1, 0, n // 2 + 1, rng.randrange(n // 2 + 1)}:
+            assert lambda_weight(n, b) == (lambda_closed(n, b) if 0 <= 2 * b <= n else 0)
 
 
 def test_lambda_diagonal_is_fibonacci():
     # lam(0,0) = lam(2,1) = 1, then each diagonal entry is the sum of
     # the previous two
-    diag = [lambda_weight(2 * b, b) for b in range(101)]
+    diag = lambda_diagonal(0, 100)
     assert diag[0] == diag[1] == 1
     for b in range(2, 101):
         assert diag[b] == diag[b - 1] + diag[b - 2]
 
 
-def test_lambda_table_type():
-    table = LambdaTable()
-    table.ensure(10)
-    assert table.max_n == 10
-    table.ensure(20)
-    assert table.max_n == 20
-    assert table.value(8)[4] == 5
-    assert table.value(30)[2] == lambda_weight(30, 2)
+def test_lambda_scan_rows_match_the_four_term_oracle():
+    # every row to 400 from scans of several tops, whose slot widths differ,
+    # and row 1000 alone
+    oracle = list(lambda_rows(400))
+    for top in (*range(18), 63, 64, 65, 400):
+        assert list(scan_rows(top)) == oracle[: top + 1]
+    *_, row = lambda_rows(1000)
+    *_, scanned = scan_rows(1000)
+    assert scanned == row
+
+
+def test_lambda_slots_leave_no_carry():
+    # the docstring's bound: lam(m, b) <= 2^(m-1) for m >= 1, below the slot
+    # width, which is more than the scan's top row in bits
+    for m, row in enumerate(lambda_rows(1000)):
+        assert max(row) <= max(1, 2 ** (m - 1))
+    for top in (0, 1, 7, 8, 9, 248, 3000):
+        assert next(structures._rows(top)) > top
+
+
+def test_scan_runs_no_further_than_its_top_row(monkeypatch):
+    steps = scan_steps(monkeypatch)
+    assert s_k3_at(3, [10, 30, 20]) == [s_k3(3, 10), s_k3(3, 30), s_k3(3, 20)]
+    assert steps == [30] * 31 + [10] * 11 + [30] * 31 + [20] * 21
+    steps.clear()
+    lambda_diagonal(5, 10)
+    lambda_weight(12, 3)
+    assert lambda_weight(12, 7) == 0  # 2b > n: no scan
+    assert steps == [25] * 26 + [12] * 13
+
+
+def test_s_k3_at_matches_the_count_at_each_n():
+    ns = [40, 0, 7, 40, 3, 25]
+    assert s_k3_at(4, ns) == [s_k3(4, n) for n in ns]
+    assert s_k3_at(3, [30, 12], 6) == [s_k3_by_isolated(3, 30, 6), s_k3_by_isolated(3, 12, 6)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        s_k3_at(3, [5, -1])
+    with pytest.raises(ValueError, match="ell <= n"):
+        s_k3_at(3, [30, 5], 6)
 
 
 def test_s_k3_small_values():
@@ -146,53 +188,46 @@ def test_counts_match_a_walk_table_recomputation(k):
             )
 
 
-def test_lambda_table_refuses_rows_past_its_bound():
-    lambda_weight(10, 1)
-    rows = structures._table.max_n
+def test_lambda_table_refuses_rows_past_its_bound(monkeypatch):
+    steps = scan_steps(monkeypatch)
     n = structures.MAX_LAMBDA_ROW + 1
-    for query in (lambda: lambda_weight(n, 1), lambda: s_k3(3, n)):
+    for query in (
+        lambda: lambda_weight(n, 1),
+        lambda: s_k3(3, n),
+        lambda: s_k3_at(3, [10, n]),
+        lambda: lambda_diagonal(n - 20, 10),
+    ):
         with pytest.raises(counting.BudgetExceededError, match="bound"):
             query()
-    assert structures._table.max_n == rows
+    assert steps == []
     assert lambda_weight(12, 1) == 2 * 12 - 3
 
 
-def test_oversized_count_is_refused_before_any_table_grows():
+def test_oversized_count_is_refused_before_any_table_grows(monkeypatch):
+    steps = scan_steps(monkeypatch)
     n = structures.MAX_LAMBDA_ROW + 1
-    tables = (structures._table, counting._tk_tables[3], counting._fk_tables[3])
+    tables = (counting._tk_tables[3], counting._fk_tables[3])
     rows = [table.max_n for table in tables]
     for query in (lambda: s_k3(3, n), lambda: s_k3_by_isolated(3, n, 1)):
         with pytest.raises(counting.BudgetExceededError, match="bound"):
             query()
     assert [table.max_n for table in tables] == rows
+    assert steps == []
 
 
-def test_lambda_table_concurrent_growth_matches_sequential():
-    queries = [(n, b) for n in range(100) for b in range(n // 2 + 1)]
-    sequential = LambdaTable()
-    expected = {(n, b): sequential.value(n)[b] for n, b in queries}
-    table = LambdaTable()
-    start = threading.Barrier(6)
-    results = []
-
-    def worker(seed):
-        order = random.Random(seed).sample(queries, len(queries))
-        start.wait(timeout=60)
-        results.append({(n, b): table.value(n)[b] for n, b in order})
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)  # force frequent thread switches
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert results == [expected] * 6
-    assert table.max_n == 99
+def test_a_count_keeps_four_lam_rows_at_a_time():
+    # a table of every row to 1500 peaked at 90 MiB for this command; the
+    # scan's four packed rows take a few MiB beside the interpreter's 14
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    proc = subprocess.run(
+        [sys.executable, "-S", str(script), "--limit-mib", "40", "count --k 3 --n 1500"],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("exit 0  count --k 3 --n 1500\n")
 
 
 def _only_one_short_arc(k, m):
