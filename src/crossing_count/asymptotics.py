@@ -35,8 +35,8 @@ w and their derivatives come from U and W, and _value gives q^d P(p/q).
 So theta, the residual |theta(rho_k) - r_k| and the singular constants
 u(rho_3), u'(rho_3) and g'(rho_3) carry no float evaluation error.
 
-Only the functions that need exact counts (estimate_rk, kprime and
-estimate_kprime through it) import the counting layers, so solving a
+Only estimate_rk, which needs exact counts, imports the counting layers
+(kprime and estimate_kprime take S_{3,3} from their caller), so solving a
 quartic or computing a growth constant loads neither.
 """
 
@@ -401,13 +401,10 @@ def scaled_count(value: int, base: float, n: int) -> float:
     return scaled
 
 
-def kprime(n: int, count: int | None = None) -> float:
-    """K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4!, the normalized count."""
-    from . import structures
-
+def kprime(n: int, count: int) -> float:
+    """K'(n) = S_{3,3}(n) rho^n n(n-1)...(n-4) / 4! for count = S_{3,3}(n)."""
     ff = _falling_factorial(n)
     rho = compute_rho(3).rho
-    count = structures.s_k3(3, n) if count is None else count
     return math.exp(math.log(count) + n * math.log(rho) + math.log(ff) - math.log(24))
 
 
@@ -421,16 +418,15 @@ class KprimeReport(namedtuple("KprimeReport", "n_max estimate raw_last")):
 
 def kprime_nodes(n_max: int) -> list[int]:
     """The four nodes of estimate_kprime, largest first."""
+    if n_max < 50:
+        raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
     return [n_max // 2**i for i in range(4)]
 
 
-def estimate_kprime(n_max: int, counts: dict[int, int] | None = None) -> KprimeReport:
-    """K'(n_max) and the extrapolated limit of K'(n) from four nodes, with
-    S_{3,3} there from counts when the caller has them from its own pass."""
-    if n_max < 50:
-        raise ValueError(f"need n_max >= 50 for a meaningful tail, got {n_max}")
+def estimate_kprime(n_max: int, counts: dict[int, int]) -> KprimeReport:
+    """K'(n_max) and the extrapolated limit of K'(n) from counts at four nodes."""
     nodes = kprime_nodes(n_max)
-    values = {i: kprime(i, None if counts is None else counts[i]) for i in nodes}
+    values = {i: kprime(i, counts[i]) for i in nodes}
     # Lagrange interpolation in h = 1/n at h = 0: the weight of node i is
     # prod over j != i of h_j / (h_j - h_i) = i / (i - j)
     estimate = sum(values[i] * math.prod(i / (i - j) for j in nodes if j != i) for i in nodes)

@@ -127,17 +127,15 @@ def open_cache(args) -> CountCache | None:
 
 
 def structure_counts(k: int, ns, ell: int | None, cache: CountCache | None) -> dict:
-    """S_{k,3}(n), with ell isolated vertices if given, at each n of ns: from the
-    cache where it has them, else from one s_k3_at pass, then cached."""
+    """S_{k,3}(n), or with ell isolated vertices, at each n of ns: cached, else one pass."""
     counts = {} if cache is None else {n: cache.get(k, n, ell) for n in ns}
     missing = [n for n in ns if counts.get(n) is None]
     if missing:
         from . import structures
 
         counts.update(zip(missing, structures.s_k3_at(k, missing, ell)))
-    if cache is not None:
-        for n in missing:
-            cache.put(k, n, ell, counts[n])
+    for n in missing if cache is not None else ():
+        cache.put(k, n, ell, counts[n])
     return counts
 
 

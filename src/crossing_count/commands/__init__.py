@@ -11,7 +11,7 @@ form only argparse accepts, such as --k=3, abbreviations or a value that
 starts with '-') cli.main replays the recorded calls on an argparse
 parser, so help text, error messages and exit codes are argparse's own.
 A handler calls each layer through its module attribute
-(structures.s_k3(...)), so a wrapper installed on the layer sees the call.
+(structures.s_k3_at(...)), so a wrapper installed on the layer sees the call.
 """
 
 from types import SimpleNamespace

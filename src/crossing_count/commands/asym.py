@@ -17,11 +17,10 @@ def add_arguments(parser) -> None:
 
 def run(args) -> int:
     base = cli.base(args)
-    # one pass for n and the K' nodes: the largest row is refused before any is computed
+    # n_max < 50 first, then one pass for n and the K' nodes, the largest row refused first
     nodes = [] if args.n_max is None else asymptotics.kprime_nodes(args.n_max)
     counts = cli.structure_counts(3, [args.n, *nodes], None, cli.open_cache(args))
-    count = counts[args.n]
-    exact = asymptotics.scaled_count(count, base, args.n)
+    exact = asymptotics.scaled_count(counts[args.n], base, args.n)
     asym = asymptotics.subexp_factor(args.n) if args.n >= 5 else None
     ratio = None if asym is None else exact / asym
     if ratio is not None and not 5e-7 <= ratio < math.inf:  # .6f shows no digit below 5e-7
@@ -29,7 +28,7 @@ def run(args) -> int:
     payload = {
         "n": args.n,
         "base": f"{base:.10g}",
-        "count": str(count),
+        "count": str(counts[args.n]),
         "exact_factor": cli.sci(exact, 6),
         "asymptotic_factor": None if asym is None else cli.sci(asym, 6),
         # log-scaled, since asym * base^n overflows floats long before n is large

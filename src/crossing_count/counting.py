@@ -87,18 +87,16 @@ class RecurrenceTable(GrowingTable):
 
     def _step(self) -> None:
         n, terms = len(self._terms), self._terms
-        lead = total = 0
-        for i, p in enumerate(self._polys):
+        values = []
+        for p in self._polys:
             value = 0
             for c in p:  # Horner's rule
                 value = value * n + c
-            if i:
-                total += value * terms[n - i]
-            else:
-                lead = value
+            values.append(value)
+        lead, *rest = values
         if not lead:
             raise ArithmeticError(f"leading coefficient vanishes at n={n}")
-        quotient, remainder = divmod(-total, lead)
+        quotient, remainder = divmod(-sum(p * terms[n - i] for i, p in enumerate(rest, 1)), lead)
         if remainder:
             raise ArithmeticError(f"recurrence leaves remainder {remainder} at n={n}")
         terms.append(quotient)

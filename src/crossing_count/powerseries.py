@@ -389,12 +389,10 @@ def _compare(name: str, lhs: TruncatedSeries, rhs: TruncatedSeries) -> IdentityR
 
 
 def _sequence(terms, k: int, order: int) -> TruncatedSeries:
-    """sum terms(k, range(order + 1))[n] x^n, truncated at order.
-
-    Every identity check reads its counts here before any other work.  An
-    order past MAX_ORDER is refused before terms runs, which reads its largest
-    term first, so a count past a table's bound is refused before it grows.
-    """
+    """sum terms(k, range(order + 1))[n] x^n, truncated at order: every identity
+    check reads its counts here before any other work.  An order past MAX_ORDER
+    is refused first; terms reads its largest n first, so a count past a
+    table's bound is refused before the table grows."""
     if order > MAX_ORDER:
         raise BudgetExceededError(f"series order {order} is past the bound of {MAX_ORDER}")
     return TruncatedSeries(terms(k, range(order + 1)), order)
@@ -457,8 +455,7 @@ def _phi_side(n: int, order: int) -> TruncatedSeries:
 
 
 def verify_phi_identity(n: int, order: int) -> IdentityReport:
-    """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n, the left
-    side read off one lam scan as slots of its packed rows, none unpacked."""
+    """sum_b lam(n+2b, b) x^b == (1/(1-x-x^2)) ((1+x)/(1-x-x^2))^n."""
     if n < 0:
         raise ValueError(f"shift must be nonnegative, got {n}")
     lhs = _sequence(lambda n, bs: structures.lambda_diagonal(n, bs[-1]), n, order)

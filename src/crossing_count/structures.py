@@ -18,9 +18,8 @@ forward scan to the top row holds four rows, row m one integer with
 lam(m, b) in slot b, B > top bits wide.  No slot carries: the row sums obey
 s(m) = s(m-1) + s(m-2) + s(m-3) + s(m-4) with s(1..4) = 1, 2, 4, 8, so by
 induction lam(m, b) <= s(m) <= 2^(m-1) < 2^B.  A top row past
-MAX_LAMBDA_ROW, then the largest count, are refused before the scan.  All
-arithmetic is exact integer; despite the alternating signs every count is
-nonnegative.
+MAX_LAMBDA_ROW, then the largest count, are refused before the scan.
+Despite the alternating signs every exact count is nonnegative.
 """
 
 from itertools import islice
@@ -75,12 +74,11 @@ def s_k3_at(k: int, ns, ell: int | None = None) -> list[int]:
 
     rows = _rows(max(ns))
     step = next(rows) // 8
-    if min(ns) < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {min(ns)}")
-    count(max(ns))  # the largest count: a refused one comes before the scan
-    values, wanted = {}, set(ns)
+    for n in max(ns), min(ns):  # a refused largest count, then a negative n
+        count(n)
+    values = dict.fromkeys(ns)
     for n, row in enumerate(rows):
-        if n in wanted:
+        if n in values:
             data = row.to_bytes(step * (n // 2 + 1), "little")
             value = 0
             for b in range((n - (ell or 0)) // 2 + 1):

@@ -209,7 +209,8 @@ KPRIME_LIMIT = (8 * 1.15861 * 0.21982) ** 4 / (math.pi * 0.83679)
 def test_criterion_7_kprime_convergence():
     start = time.time()
     failures = []
-    report = asy.estimate_kprime(800)
+    nodes = asy.kprime_nodes(800)
+    report = asy.estimate_kprime(800, dict(zip(nodes, structures.s_k3_at(3, nodes))))
     ns = range(50, 501)
     values = {n: asy.kprime(n, count) for n, count in zip(ns, structures.s_k3_at(3, ns))}
     not_increasing = [

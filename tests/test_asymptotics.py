@@ -521,45 +521,49 @@ def test_scaled_count_past_float_range_is_refused():
     assert asy.scaled_count(s_k3(3, 10), 1e30, 10) == pytest.approx(1.145e-297, rel=1e-12)
 
 
+def kprime_counts(n_max):
+    """S_{3,3}(n) for every n from estimate_kprime's smallest node to n_max."""
+    from crossing_count import structures
+
+    ns = range(min(asy.kprime_nodes(n_max)), n_max + 1)
+    return dict(zip(ns, structures.s_k3_at(3, ns)))
+
+
 def test_estimate_kprime_small_run():
-    report = asy.estimate_kprime(100)
-    assert abs(asy.kprime(100) - 4.89) / 4.89 <= 0.02
-    assert report.raw_last == asy.kprime(100)
-    assert all(
-        asy.kprime(n) < asy.kprime(n + 1) for n in range(50, 100)
-    )
-    with pytest.raises(ValueError):
-        asy.estimate_kprime(49)
+    counts = kprime_counts(100)
+    values = {n: asy.kprime(n, counts[n]) for n in range(50, 101)}
+    assert abs(values[100] - 4.89) / 4.89 <= 0.02
+    assert asy.estimate_kprime(100, counts).raw_last == values[100]
+    assert all(values[n] < values[n + 1] for n in range(50, 100))
+    for n_max in (49, -5):
+        with pytest.raises(ValueError, match=f"need n_max >= 50 .* got {n_max}$"):
+            asy.estimate_kprime(n_max, counts)
 
 
 def test_kprime_rejects_vanishing_falling_factorial():
+    from crossing_count.structures import s_k3
+
     with pytest.raises(ValueError):
-        asy.kprime(4)
+        asy.kprime(4, s_k3(3, 4))
 
 
 def test_estimate_kprime_counts_only_at_its_four_nodes(monkeypatch):
-    from crossing_count import structures
+    from helpers import scan_steps
 
-    calls = []
-    s_k3 = structures.s_k3
-
-    def counted(k, n):
-        calls.append((k, n))
-        return s_k3(k, n)
-
-    monkeypatch.setattr(structures, "s_k3", counted)
-    report = asy.estimate_kprime(200)
-    assert sorted(calls) == [(3, 25), (3, 50), (3, 100), (3, 200)]
-    # counts from the caller's own pass are read, not counted again
+    counts = kprime_counts(200)
+    steps = scan_steps(monkeypatch)
     nodes = asy.kprime_nodes(200)
-    assert asy.estimate_kprime(200, dict(zip(nodes, structures.s_k3_at(3, nodes)))) == report
-    assert len(calls) == 4
+    assert nodes == [200, 100, 50, 25]
+    # the counts at the four nodes are all it reads, and it scans nothing itself
+    report = asy.estimate_kprime(200, {n: counts[n] for n in nodes})
+    assert report == asy.estimate_kprime(200, counts)
+    assert steps == []
 
 
 def test_estimate_kprime_extrapolates_to_the_limit():
     limit = asy.singular_constants_check().kprime_limit
     assert abs(limit - 6.55545) < 1e-5
-    report = asy.estimate_kprime(250)
+    report = asy.estimate_kprime(250, kprime_counts(250))
     assert abs(report.estimate - 6.55545) < 5e-3
     assert report.raw_last < report.estimate < limit
 

@@ -238,6 +238,17 @@ def test_oversized_kprime_is_refused_before_the_count_at_n(capsys, monkeypatch):
     assert steps == []
 
 
+def test_short_kprime_tail_is_refused_before_any_count(capsys, monkeypatch, tmp_path):
+    steps = scan_steps(monkeypatch)
+    cache = tmp_path / "counts.csv"
+    for n, n_max in (("20", "49"), ("60", "49"), ("10", "-5")):
+        code, out, err = run_cli(capsys, "asym", "--n", n, "--n-max", n_max, "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert f"need n_max >= 50 for a meaningful tail, got {n_max}" in err
+    assert steps == []
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["count", "--k", "8", "--n", "400"], ["verify", "--which", "all", "--k", "8", "--order", "100"]],
