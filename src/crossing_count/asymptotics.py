@@ -32,7 +32,7 @@ root exactly imaginary.
 
 Every value at a float z = p/q is rounded once from exact integers: u,
 w and their derivatives come from U and W, and _value gives q^d P(p/q).
-So theta, the residual |theta(rho_k) - r_k| and the singular constants
+So the residual |theta(rho_k) - r_k| and the singular constants
 u(rho_3), u'(rho_3) and g'(rho_3) carry no float evaluation error.
 
 Only estimate_rk, which needs exact counts, imports the counting layers
@@ -239,16 +239,6 @@ def _aberth(p: list[int], degree: int) -> list[complex]:
 
 
 _U, _W = U[::-1], W[::-1]  # highest degree first, like every polynomial here
-
-
-def theta(z: float) -> float:
-    """The radius map w(z)/u(z), rounded once from the exact integers q^3 w
-    and q^4 u at z = p/q; ValueError where |u(z)| < 1e-14, near a pole."""
-    p, q = z.as_integer_ratio()
-    u = _value(_U, p, q)
-    if abs(u / q**4) < 1e-14:
-        raise ValueError(f"pole of the radius map at z={z}")
-    return q * _value(_W, p, q) / u
 
 
 def estimate_rk(k: int, n_max: int) -> float:

@@ -1,31 +1,29 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with integer coefficients.
 
 A TruncatedSeries is a coefficient vector closed under a fixed
 truncation order N: all arithmetic (including reciprocal and
-composition) is exact modulo x^{N+1}, in the ring of its coefficients.
-Integer series stay integer, and so does the reciprocal of one with
-constant term 1 or -1; any other reciprocal gives Fractions.  Every
-product of two series is one big-integer product (Kronecker
-substitution, after clearing a common denominator), so no product
-loops over pairs of coefficients in Python.  Composition is
-Paterson-Stockmeyer: about 2 sqrt(N) products, where Horner's rule
-takes N.  A HurwitzSeries is a TruncatedSeries that stores an
-exponential generating function by its integer coefficients n! [x^n];
-only its product differs, a binomial convolution done as one Kronecker
-product with factorial weights and an exact division, so both rings
-share the ring code and the one Newton inversion, _newton_inverse.
+composition) is exact in Z[[x]] modulo x^{N+1}.  A unit there has
+constant term 1 or -1, so its reciprocal is an integer series too.
+Every product of two series is one big-integer product (Kronecker
+substitution), so no product loops over pairs of coefficients in
+Python.  Composition is Paterson-Stockmeyer: about 2 sqrt(N) products,
+where Horner's rule takes N.  A HurwitzSeries is a TruncatedSeries that
+stores an exponential generating function by its integer coefficients
+n! [x^n]; only its product differs, a binomial convolution done as one
+Kronecker product with factorial weights and an exact division, so both
+rings share the ring code and the one Newton inversion, _newton_inverse.
 
 The verify_* functions rebuild both sides of the generating-function
 identities that tie the structure counts to the matching counts and
 report the first coefficient where the two sides disagree, if any.  All
-of them run on plain integers: the Bessel determinant in the Hurwitz
-ring, where its matrix is the identity at x = 0, so every pivot is a
-unit and the elimination stays integral.  A phi side is built afresh
-for each check, by square-and-multiply from two Fibonacci series, so no
-check keeps state between calls.  fractions and numbers are imported
-only when a caller passes a coefficient that is not an int.
+of them run on plain integers: every series they invert has constant
+term 1 (the functional equation's u and the Laplace check's 1 - x), and
+the Bessel determinant is taken in the Hurwitz ring, where its matrix is
+the identity at x = 0, so every pivot is a unit and the elimination
+stays integral.  A phi side is built afresh for each check, by
+square-and-multiply from two Fibonacci series, so no check keeps state
+between calls.
 """
-
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -43,8 +41,10 @@ MAX_ORDER = 200
 MAX_BESSEL_K = 12
 
 
-def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
-    """The first `length` coefficients of the integer polynomial a * b.
+def _kronecker_product(a: list[int], b: list[int], length: int, shift: int = 0) -> list[int]:
+    """The first `length` coefficients of the integer polynomial a * b;
+    shift is ignored, since coefficient shift + j of a * x^shift b is
+    coefficient j of a * b.
 
     Kronecker substitution: each vector, trailing zeros dropped, becomes
     one integer whose base-2^w digits are its coefficients, and one
@@ -91,31 +91,15 @@ def _kronecker_product(a: list[int], b: list[int], length: int) -> list[int]:
     return out + [0] * (length - count)
 
 
-def _ordinary_product(a: list, b: list, length: int, shift: int = 0) -> list:
-    """The first `length` coefficients of a * b; shift is ignored, since
-    coefficient shift + j of a * x^shift b is coefficient j of a * b.
-
-    A side holding any Fraction is scaled to integers by its least common
-    denominator first, so the work is one Kronecker product either way.
-    """
-    if all(type(c) is int for c in a) and all(type(c) is int for c in b):
-        return _kronecker_product(a, b, length)
-    from fractions import Fraction
-
-    dens = [math.lcm(*(c.denominator for c in v)) for v in (a, b)]
-    a, b = ([c.numerator * (d // c.denominator) for c in v] for v, d in zip((a, b), dens))
-    return [Fraction(p, dens[0] * dens[1]) for p in _kronecker_product(a, b, length)]
-
-
-def _newton_inverse(a: list, order: int, r0, product) -> list:
-    """r with a * r = 1 modulo x^(order+1), from r0 = 1 / a[0].
+def _newton_inverse(a: list[int], order: int, product) -> list[int]:
+    """r with a * r = 1 modulo x^(order+1), for a[0] = 1 or -1, its own inverse.
 
     If a * r = 1 + x^d e, then r - x^d r e inverts a modulo x^(2d): each
     Newton step doubles the known terms with two truncated products,
     product(u, v, length, shift) giving coefficients shift ..
     shift+length-1 of u * x^shift v.
     """
-    r = [r0]
+    r = [a[0]]
     while len(r) <= order:
         done = len(r)
         step = min(done, order + 1 - done)
@@ -133,37 +117,30 @@ def _parity(v: list[int]) -> int | None:
     return None
 
 
-def _without_trailing_zeros(v: list) -> list:
+def _without_trailing_zeros(v: list[int]) -> list[int]:
     end = len(v)
     while end and not v[end - 1]:
         end -= 1
     return v[:end]
 
 
-def _require_rational(c) -> None:
-    import numbers
-
-    if not isinstance(c, numbers.Rational):
-        raise TypeError(f"series coefficients must be exact rationals, got {c!r}")
-
-
 class TruncatedSeries:
-    """Exact power series modulo x^(order+1).
+    """Integer power series modulo x^(order+1).
 
-    Coefficients must be exact (numbers.Rational: int or Fraction); any
-    other value raises TypeError, so a float can never enter a series.
-    Arithmetic builds type(self), and a product is the class's _product,
-    so a subclass that changes only the product is another ring.
+    A coefficient whose type is not int raises TypeError, so no float and
+    no rational can enter a series.  Arithmetic builds type(self), and a
+    product is the class's _product, so a subclass that changes only the
+    product is another ring.
     """
 
     __slots__ = ("order", "coeffs")
-    _product = staticmethod(_ordinary_product)
+    _product = staticmethod(_kronecker_product)
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
         for c in coeffs:
             if type(c) is not int:
-                _require_rational(c)
+                raise TypeError(f"series coefficients must be ints, got {c!r}")
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -176,27 +153,11 @@ class TruncatedSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([1], order)
 
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls([0, 1], order)
-
-    def __getitem__(self, n: int):
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return type(self) is type(other) and self.coeffs == other.coeffs  # same length, same order
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.coeffs!r})"
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -219,17 +180,11 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series r with self * r = 1 modulo x^(order+1), by _newton_inverse."""
-        a = self.coeffs
-        if not a[0]:
-            raise ValueError("reciprocal needs a nonzero constant term")
-        if a[0] in (1, -1):
-            r0 = a[0]
-        else:
-            from fractions import Fraction
-
-            r0 = 1 / Fraction(a[0])
-        return type(self)(_newton_inverse(a, self.order, r0, self._product), self.order)
+        """Series r with self * r = 1 modulo x^(order+1), by _newton_inverse;
+        ValueError unless the constant term is 1 or -1, the units of Z."""
+        if self.coeffs[0] not in (1, -1):
+            raise ValueError("reciprocal needs a constant term of 1 or -1")
+        return type(self)(_newton_inverse(self.coeffs, self.order, self._product), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner); inner must have zero constant term.
@@ -304,11 +259,6 @@ class HurwitzSeries(TruncatedSeries):
     __slots__ = ()
     _product = staticmethod(_binomial_convolution)
 
-    def reciprocal(self) -> "HurwitzSeries":
-        if self.coeffs[0] not in (1, -1):
-            raise ValueError("Hurwitz reciprocal needs a constant term of 1 or -1")
-        return super().reciprocal()
-
     def compose(self, inner):
         raise TypeError("a HurwitzSeries has no composition")
 
@@ -337,10 +287,10 @@ def determinant(matrix):
     """Determinant of a square series matrix by Gaussian elimination.
 
     The entries are all TruncatedSeries or all HurwitzSeries.  Rows are
-    never exchanged, so every pivot must be invertible, that is, have a
-    nonzero constant term (1 or -1 for a HurwitzSeries); a zero one raises
-    ValueError.  The Bessel matrix is the identity at x = 0, so each of
-    its pivots starts with 1.
+    never exchanged, so every pivot but the last must be invertible, that
+    is, have a constant term of 1 or -1, else ValueError; a zero constant
+    term raises ValueError at any pivot.  The Bessel matrix is the
+    identity at x = 0, so each of its pivots starts with 1.
     """
     rows = [list(row) for row in matrix]
     det = type(rows[0][0]).one(rows[0][0].order)

@@ -1,7 +1,8 @@
-"""Shared test utilities: an independent polynomial root oracle,
-coefficient-loop oracles for series products and reciprocals, Horner's
-rule as the composition oracle, the rational Bessel series as the oracle
-for the Hurwitz determinant, a diagram's crossing number from its arc
+"""Shared test utilities: an independent polynomial root oracle, the
+radius map theta in exact rationals, coefficient-loop oracles for
+series products and reciprocals, Horner's rule as the composition
+oracle, the Bessel matrix scaled to integer series as the oracle for the
+Hurwitz determinant, a diagram's crossing number from its arc
 subsets, every partial matching on n vertices, the hook length formula as the oracle for the oracle's end orders,
 the four-term recursion and a closed sum as the oracles for the lam scan,
 significant-figure comparison and the environment for child processes."""
@@ -90,8 +91,15 @@ def match_roots(found, expected) -> float:
     return worst
 
 
+def theta(z) -> Fraction:
+    """The radius map w(z)/u(z) at a float or rational z, as an exact
+    Fraction, with u and w written out rather than read from U and W."""
+    z = Fraction(z)
+    return (z - z**3) / (1 - z + z**2 + z**3 - z**4)
+
+
 def schoolbook_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """a * b by the O(N^2) coefficient loop, in the coefficients' own ring."""
+    """a * b by the O(N^2) coefficient loop."""
     n = a.order
     out = [0] * (n + 1)
     for i, ai in enumerate(a.coeffs):
@@ -105,16 +113,16 @@ def schoolbook_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSerie
 
 
 def schoolbook_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """1 / a by solving a * r = 1 one coefficient at a time."""
+    """1 / a by solving a * r = 1 one coefficient at a time; a[0] is 1 or
+    -1, its own inverse."""
     c = a.coeffs
-    inv0 = c[0] if c[0] in (1, -1) else 1 / Fraction(c[0])
-    out = [inv0] + [0] * a.order
+    out = [c[0]] + [0] * a.order
     for n in range(1, a.order + 1):
         acc = 0
         for i in range(1, n + 1):
             if c[i]:
                 acc += c[i] * out[n - i]
-        out[n] = -acc * inv0
+        out[n] = -acc * c[0]
     return TruncatedSeries(out, a.order)
 
 
@@ -130,30 +138,22 @@ def horner_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return result
 
 
-def exponential(order: int) -> TruncatedSeries:
-    """sum x^n / n! truncated at order."""
-    return TruncatedSeries([Fraction(1, math.factorial(n)) for n in range(order + 1)], order)
+def scaled_bessel_matrix(k: int, order: int) -> list[list[TruncatedSeries]]:
+    """order! [I_{i-j}(2x) - I_{i+j}(2x)] over i, j = 1..k-1, as ordinary
+    integer series.
 
-
-def bessel_i(r: int, order: int) -> TruncatedSeries:
-    """Modified Bessel function of the first kind, I_r(2x), as a series.
-
-    I_r(2x) = sum_j x^(2j+r) / (j! (r+j)!); negative orders coincide with
-    positive ones.
+    I_d(2x) = sum_j x^(2j+d) / (j! (d+j)!), and j + (d+j) = 2j+d <= order,
+    so each scaled coefficient order! / (j! (d+j)!) is an integer.
     """
-    r = abs(r)
-    coeffs = [0] * (order + 1)
-    for j in range((order - r) // 2 + 1):
-        coeffs[2 * j + r] = Fraction(1, math.factorial(j) * math.factorial(r + j))
-    return TruncatedSeries(coeffs, order)
+    top = math.factorial(order)
 
+    def bessel(d: int) -> TruncatedSeries:
+        coeffs = [0] * (order + 1)
+        for j in range((order - d) // 2 + 1):
+            coeffs[2 * j + d] = top // (math.factorial(j) * math.factorial(d + j))
+        return TruncatedSeries(coeffs, order)
 
-def rational_bessel_matrix(k: int, order: int) -> list[list[TruncatedSeries]]:
-    """[I_{i-j}(2x) - I_{i+j}(2x)] over i, j = 1..k-1, as Fraction series."""
-    return [
-        [bessel_i(i - j, order) - bessel_i(i + j, order) for j in range(1, k)]
-        for i in range(1, k)
-    ]
+    return [[bessel(abs(i - j)) - bessel(i + j) for j in range(1, k)] for i in range(1, k)]
 
 
 class Diagram(namedtuple("Diagram", "n arcs")):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import match_roots, newton_deflation_roots
+from helpers import match_roots, newton_deflation_roots, theta
 from crossing_count import asymptotics as asy
 from crossing_count import counting
 from crossing_count.asymptotics import QuarticProblem
@@ -169,32 +169,6 @@ def test_rho_exists_at_k_ten_million():
     assert asy.compute_rho(k).rho == pytest.approx(1 / (2 * (k - 1)), rel=1e-6)
 
 
-def test_theta_values():
-    assert asy.theta(0.0) == 0.0
-    assert asy.theta(1.0) == 0.0
-    assert abs(asy.theta(0.21982) - 0.25) <= 1e-4
-
-
-def test_theta_matches_rational_form():
-    for i in range(71):
-        z = i / 100
-        expected = (z - z**3) / (1 - z + z * z + z**3 - z**4)
-        assert abs(asy.theta(z) - expected) < 1e-14
-
-
-def test_theta_pole_raises():
-    lo, hi = 1.5, 1.6  # u has a root near 1.5166
-    u = lambda z: 1 - z + z * z + z**3 - z**4
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if (u(lo) > 0) == (u(mid) > 0):
-            lo = mid
-        else:
-            hi = mid
-    with pytest.raises(ValueError):
-        asy.theta(lo)
-
-
 def test_radius_values():
     assert [asy.compute_rho(k).radius for k in (3, 4, 5, 12)] == [1 / 4, 1 / 6, 1 / 8, 1 / 22]
 
@@ -229,7 +203,7 @@ def test_compute_rho_exact_quarter():
     report = asy.compute_rho(3)
     assert abs(report.rho - 0.21982) <= 1e-5
     assert abs(report.growth_rate - 4.54920) <= 1e-4
-    assert abs(asy.theta(report.rho) - 0.25) <= 1e-10
+    assert abs(theta(report.rho) - Fraction(1, 4)) <= 1e-10
     appendix = QuarticProblem(1, -5, -1, 5, -1)
     assert appendix.residual(report.rho) <= 1e-12
     assert report.growth_rate == 1 / report.rho
@@ -237,10 +211,10 @@ def test_compute_rho_exact_quarter():
 
 def test_dominant_root_round_trip():
     # both exact bisections at a radius with a long ratio, in compute_rho's brackets
-    r = asy.theta(0.1)
-    quartic = asy._cleared(*r.as_integer_ratio())
-    rho = asy._nearest_float_root(quartic, r / 2, 0.5)
-    growth_rate = asy._nearest_float_root(quartic[::-1], 2.0, 2 / r)
+    r = theta(0.1)  # exact at the float 0.1, a root of the cleared quartic
+    quartic = asy._cleared(r.numerator, r.denominator)
+    rho = asy._nearest_float_root(quartic, float(r) / 2, 0.5)
+    growth_rate = asy._nearest_float_root(quartic[::-1], 2.0, 2 / float(r))
     assert abs(rho - 0.1) <= 1e-10
     assert abs(growth_rate - 10) <= 1e-8
 
