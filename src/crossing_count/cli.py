@@ -20,22 +20,23 @@ is append-only, validated on load, and ignored with a warning when
 corrupt or unwritable, since every entry is re-derivable.
 
 This module holds main, the command table, the exit codes, the count
-cache and the helpers the commands share.  Each subcommand's handler is
-its own module, crossing_count.commands.<name>, with
-add_arguments(parser), which declares its options, and run(args) -> int.
-When argv[0] names a command, main imports that one module and records
-its options in a commands.Options, whose read() parses a well-formed
-argv without importing argparse.  Only when read() declines (--help, a
-usage error, or a form only argparse accepts, such as --k=3) does main
-import argparse and replay the recorded options on a parser of their
-own, so help, error messages and exit codes are argparse's.  Any other
-argv goes to the top-level parser of build_parser(), which knows the
-command names alone and only prints help or a usage error.  The handler
-imports the layers it runs (count loads only counting and structures,
-roots only asymptotics), and csv and json load only for their --format
-or the cache, so a command compiles and imports neither the other
-handlers' code nor the layers it skips, and a well-formed command line
-imports no argparse.
+cache and the helpers the commands share, among them the shared options
+FORMAT and CACHE.  Each subcommand's handler is its own module,
+crossing_count.commands.<name>, with OPTIONS, a table of (name,
+add_argument keywords), and run(args) -> int.  When argv[0] names a
+command, main imports that one module and passes its OPTIONS to
+commands.read, which parses a well-formed argv without importing
+argparse.  Only when read declines (--help, a usage error, a positional,
+or a form only argparse accepts, such as --k=3) does main import
+argparse and add the same table to a parser of its own, so help, error
+messages and exit codes are argparse's.  Any other argv goes to the
+top-level parser of build_parser(), which knows the command names alone
+and only prints help or a usage error.  The handler imports the layers
+it runs (count loads only counting and structures, roots only
+asymptotics), and csv and json load only for their --format or the
+cache, so a command compiles and imports neither the other handlers'
+code nor the layers it skips, and a well-formed command line imports no
+argparse.
 """
 
 import importlib
@@ -188,17 +189,12 @@ COMMANDS = {
     "roots": "solve a quartic A x^4 + B x^3 + C x^2 + D x + E",
 }
 
-
-def add_common(parser, cache: bool = False) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text", help="output format"
-    )
-    if cache:
-        parser.add_argument(
-            "--cache",
-            default=None,
-            help=f"persistent count cache path (default: ${CACHE_ENV_VAR})",
-        )
+# the options that commands share, as entries of their OPTIONS tables
+FORMAT = ("--format", dict(choices=("text", "csv", "json"), default="text", help="output format"))
+CACHE = (
+    "--cache",
+    dict(default=None, help=f"persistent count cache path (default: ${CACHE_ENV_VAR})"),
+)
 
 
 def build_parser():
@@ -225,17 +221,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("expected a command")
     name = argv[0]
     command = importlib.import_module(f".commands.{name}", __package__)
-    from .commands import Options
+    from .commands import read
 
-    options = Options()
-    command.add_arguments(options)
-    args = options.read(argv[1:])
-    if args is None:  # help, a usage error, or a form only argparse reads
+    args = read(command.OPTIONS, argv[1:])
+    if args is None:  # help, a usage error, a positional, or a form only argparse reads
         import argparse
 
         parser = argparse.ArgumentParser(prog=f"crossing-count {name}")
-        for names, kw in options.calls:
-            parser.add_argument(*names, **kw)
+        for option, kw in command.OPTIONS:
+            parser.add_argument(option, **kw)
         args = parser.parse_args(argv[1:])
     try:
         return command.run(args)

@@ -5,14 +5,17 @@ import math
 from .. import asymptotics, cli
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
-    parser.add_argument("--computed-base", action="store_true")
-    parser.add_argument(
-        "--n-max", type=int, default=None, help="also estimate the prefactor limit up to n-max"
-    )
-    cli.add_common(parser, cache=True)
+OPTIONS = (
+    ("--n", dict(type=int, required=True)),
+    ("--base", dict(type=float, default=None, help="default: the paper's 1/rho_3")),
+    ("--computed-base", dict(action="store_true")),
+    (
+        "--n-max",
+        dict(type=int, default=None, help="also estimate the prefactor limit up to n-max"),
+    ),
+    cli.FORMAT,
+    cli.CACHE,
+)
 
 
 def run(args) -> int:

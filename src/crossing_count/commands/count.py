@@ -3,11 +3,13 @@
 from .. import cli
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--ell", type=int, default=None, help="fix the number of isolated vertices")
-    cli.add_common(parser, cache=True)
+OPTIONS = (
+    ("--k", dict(type=int, required=True)),
+    ("--n", dict(type=int, required=True)),
+    ("--ell", dict(type=int, default=None, help="fix the number of isolated vertices")),
+    cli.FORMAT,
+    cli.CACHE,
+)
 
 
 def run(args) -> int:

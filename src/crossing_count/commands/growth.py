@@ -3,12 +3,14 @@
 from .. import asymptotics, cli
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument(
-        "--n-max", type=int, default=None, help="ignored: r_k = 1/(2(k-1)) is exact for every k"
-    )
-    cli.add_common(parser)
+OPTIONS = (
+    ("--k", dict(type=int, required=True)),
+    (
+        "--n-max",
+        dict(type=int, default=None, help="ignored: r_k = 1/(2(k-1)) is exact for every k"),
+    ),
+    cli.FORMAT,
+)
 
 
 def run(args) -> int:

@@ -3,16 +3,18 @@
 from .. import cli, oracle
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--k", type=int, required=True, help="forbidden crossing number")
-    parser.add_argument("--min-arc", type=int, default=3)
-    parser.add_argument("--by-isolated", action="store_true")
-    parser.add_argument(
-        "--budget", type=int, default=None, help="bound on the search states (0 refuses every search)"
-    )
-    parser.add_argument("--shuffle-seed", type=int, default=None, help="shuffle branch order")
-    cli.add_common(parser)
+OPTIONS = (
+    ("--n", dict(type=int, required=True)),
+    ("--k", dict(type=int, required=True, help="forbidden crossing number")),
+    ("--min-arc", dict(type=int, default=3)),
+    ("--by-isolated", dict(action="store_true")),
+    (
+        "--budget",
+        dict(type=int, default=None, help="bound on the search states (0 refuses every search)"),
+    ),
+    ("--shuffle-seed", dict(type=int, default=None, help="shuffle branch order")),
+    cli.FORMAT,
+)
 
 
 def run(args) -> int:

@@ -3,9 +3,10 @@
 from .. import asymptotics, cli
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("coeffs", type=float, nargs=5, metavar="COEFF", help="A, B, C, D and E")
-    cli.add_common(parser)
+OPTIONS = (
+    ("coeffs", dict(type=float, nargs=5, metavar="COEFF", help="A, B, C, D and E")),
+    cli.FORMAT,
+)
 
 
 def run(args) -> int:

@@ -3,17 +3,18 @@
 from .. import asymptotics, cli
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--n-max", type=int, required=True)
-    parser.add_argument("--step", type=int, default=10)
-    parser.add_argument("--base", type=float, default=None, help="default: the paper's 1/rho_3")
-    parser.add_argument(
+OPTIONS = (
+    ("--n-max", dict(type=int, required=True)),
+    ("--step", dict(type=int, default=10)),
+    ("--base", dict(type=float, default=None, help="default: the paper's 1/rho_3")),
+    (
         "--computed-base",
-        action="store_true",
-        help="use the computed growth rate 1/rho_3 instead of --base",
-    )
-    parser.add_argument("--digits", type=int, default=4, help="significant digits in text output")
-    cli.add_common(parser, cache=True)
+        dict(action="store_true", help="use the computed growth rate 1/rho_3 instead of --base"),
+    ),
+    ("--digits", dict(type=int, default=4, help="significant digits in text output")),
+    cli.FORMAT,
+    cli.CACHE,
+)
 
 
 def run(args) -> int:

@@ -3,15 +3,12 @@
 from .. import cli, powerseries
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument(
-        "--which",
-        choices=("laplace", "functional", "phi", "bessel", "all"),
-        default="all",
-    )
-    parser.add_argument("--k", type=int, default=3)
-    parser.add_argument("--order", type=int, default=None, help="truncation order override")
-    cli.add_common(parser)
+OPTIONS = (
+    ("--which", dict(choices=("laplace", "functional", "phi", "bessel", "all"), default="all")),
+    ("--k", dict(type=int, default=3)),
+    ("--order", dict(type=int, default=None, help="truncation order override")),
+    cli.FORMAT,
+)
 
 
 def _verification_reports(which: str, k: int, order: int | None):

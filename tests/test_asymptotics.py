@@ -413,6 +413,24 @@ def test_complex_pair_below_an_ulp_of_its_modulus_comes_out_conjugate():
     ]
 
 
+@pytest.mark.parametrize("m", [22, 23, 50, 100, 150])
+def test_complex_pair_at_a_large_modulus_comes_out_a_pair(m):
+    # roots 10^m +- i, with Im far below an ulp of the modulus: the pair is
+    # not resolved (see the xfail above), but each root keeps its real part
+    # within an ulp of 10^m and the two stay on opposite sides of the axis;
+    # a stop rule for _aberth must not turn this into a refusal
+    roots = asy._roots([1, -2 * 10**m, 10 ** (2 * m) + 1])
+    assert len(roots) == 2
+    for z in roots:
+        assert abs(int(z.real) - 10**m) <= math.ulp(10.0**m)
+    assert roots[0].imag * roots[1].imag < 0
+
+
+def test_complex_pair_past_float_range_is_refused():
+    with pytest.raises(ValueError, match="too widely spread for double precision"):
+        asy._roots([1, -2 * 10**200, 10**400 + 1])
+
+
 @pytest.mark.parametrize("k", [228948, 288537, 367783, 370547, 518642, 10**6, 10**7])
 def test_singularities_at_large_k_are_the_nearest_floats(k):
     # at these k the closed form dropped the root at rho_k or merged two

@@ -98,17 +98,15 @@ def test_growth_names_the_root_the_float_solver_lost(capsys, monkeypatch):
     assert run_cli(capsys, "growth", "--k", "10000000") == (2, "", f"error: {message}\n")
 
 
-def _declared(name: str) -> commands.Options:
-    options = commands.Options()
-    importlib.import_module(f"crossing_count.commands.{name}").add_arguments(options)
-    return options
+def _declared(name: str) -> tuple:
+    return importlib.import_module(f"crossing_count.commands.{name}").OPTIONS
 
 
-def _argparse_vars(options: commands.Options, argv: list[str]) -> dict | None:
+def _argparse_vars(options: tuple, argv: list[str]) -> dict | None:
     """What argparse parses argv into, or None where it exits (help or an error)."""
     parser = argparse.ArgumentParser(prog="crossing-count")
-    for names, kw in options.calls:
-        parser.add_argument(*names, **kw)
+    for name, kw in options:
+        parser.add_argument(name, **kw)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(parser.parse_args(argv))
@@ -122,12 +120,12 @@ GOOD = {int: ("0", "3", "12"), float: ("1.5", "4.5", "inf"), None: ("x", "")}
 BAD = ("-1", "-2.5", "-x", "", "x", "three", "1.5", "js")
 
 
-def _argvs(options: commands.Options):
+def _argvs(options: tuple):
     """Argvs of declared options with good values, each required option
     mostly given, mixed with up to two odd pieces: -h, --help, --, a stray
     value, an option with a bad value or none, an abbreviation or an '='
     form.  Repeats come by chance."""
-    declared = {names[0]: kw for names, kw in options.calls}
+    declared = dict(options)
 
     def good(name: str):
         kw = declared[name]
@@ -171,7 +169,7 @@ def test_read_is_argparse_or_declines(name, data):
     # and it always leaves to argparse an argv that argparse rejects
     options = _declared(name)
     argv = data.draw(ARGVS[name])
-    read = options.read(argv)
+    read = commands.read(options, argv)
     assert read is None or vars(read) == _argparse_vars(options, argv)
 
 
@@ -179,7 +177,7 @@ def test_read_is_argparse_or_declines(name, data):
 def test_no_typed_option_has_a_string_default(name):
     # argparse passes a string default through the option's type; read()
     # takes every default as declared
-    for _, kw in _declared(name).calls:
+    for _, kw in _declared(name):
         assert not ("type" in kw and isinstance(kw.get("default"), str))
 
 
