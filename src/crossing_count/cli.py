@@ -16,8 +16,10 @@ Ranges are checked where a handler or the library takes its arguments,
 and every ValueError raised there is a usage error.  A persistent count
 cache of structure counts (CSV: kind,k,n,ell,value, kind always S) can be
 given via --cache or the CROSSING_COUNT_CACHE environment variable; it
-is append-only, validated on load, and ignored with a warning when
-corrupt or unwritable, since every entry is re-derivable.
+is validated on load and takes one append per command that computed a
+count; since every entry is re-derivable, one that is corrupt or cannot
+be read is ignored with a warning and rewritten, and one that cannot be
+written is warned about once.
 
 This module holds main, the command table, the exit codes, the count
 cache and the helpers the commands share, among them the shared options
@@ -61,65 +63,48 @@ class CountCache:
     """Append-only CSV store of exact counts S_{k,3}(n), keyed (k, n, ell)."""
 
     def __init__(self, path: str):
-        self.path = path
-        self.entries: dict[tuple[int, int, int | None], int] = {}
-        self._needs_rewrite = False
-        self._writable = True
-        self._load()
-
-    def _load(self) -> None:
         import csv
 
-        if not os.path.exists(self.path):
-            return
+        self.path = path
+        self.entries: dict[tuple[int, int, int | None], int] = {}
+        self._mode = "w"  # put appends only under a header read here
         try:
-            with open(self.path, newline="") as fh:
+            with open(path, newline="") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, None)
                 if header != CACHE_HEADER:
                     raise ValueError(f"bad header {header!r}")
-                for row in reader:
-                    kind, k, n, ell, value = row
+                for kind, k, n, ell, value in reader:
                     if kind != CACHE_KIND:
                         raise ValueError(f"unknown kind {kind!r}")
                     self.entries[(int(k), int(n), int(ell) if ell else None)] = int(value)
-        except (OSError, ValueError, csv.Error) as exc:
-            print(
-                f"warning: ignoring corrupt cache {self.path}: {exc}",
-                file=sys.stderr,
-            )
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            print(f"warning: not reading cache {path}: {exc}", file=sys.stderr)
+        except (ValueError, csv.Error) as exc:
+            print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
             self.entries = {}
-            self._needs_rewrite = True
+        else:
+            self._mode = "a"
 
     def get(self, k: int, n: int, ell: int | None = None) -> int | None:
         return self.entries.get((k, n, ell))
 
-    def put(self, k: int, n: int, ell: int | None, value: int) -> None:
-        """Record a count; a cache file that cannot be written is warned
-        about once and then left alone, since the count itself is fine."""
+    def put(self, k: int, ell: int | None, counts: dict[int, int]) -> None:
+        """Record a command's new counts S_{k,3}(n) = counts[n] in one write, an
+        append or a fresh file under its header; a path that cannot be written is
+        warned about and left alone, since the counts themselves are fine."""
         import csv
 
-        key = (k, n, ell)
-        if key in self.entries:
-            return
-        self.entries[key] = value
-        if not self._writable:
-            return
-        rewrite = self._needs_rewrite or not os.path.exists(self.path)
-        rows = [(key, value)]
-        if rewrite:
-            rows = sorted(self.entries.items(), key=lambda item: str(item[0]))
         try:
-            with open(self.path, "w" if rewrite else "a", newline="") as fh:
+            with open(self.path, self._mode, newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                if rewrite:
+                if self._mode == "w":
                     writer.writerow(CACHE_HEADER)
-                writer.writerows([CACHE_KIND, kk, nn, el, val] for (kk, nn, el), val in rows)
+                writer.writerows([CACHE_KIND, k, n, ell, value] for n, value in counts.items())
         except OSError as exc:
             print(f"warning: not writing cache {self.path}: {exc}", file=sys.stderr)
-            self._writable = False
-            return
-        self._needs_rewrite = False
 
 
 def open_cache(args) -> CountCache | None:
@@ -128,15 +113,17 @@ def open_cache(args) -> CountCache | None:
 
 
 def structure_counts(k: int, ns, ell: int | None, cache: CountCache | None) -> dict:
-    """S_{k,3}(n), or with ell isolated vertices, at each n of ns: cached, else one pass."""
+    """S_{k,3}(n), or with ell isolated vertices, at each n of ns: cached, else
+    one pass for the missing ones, recorded in one write."""
     counts = {} if cache is None else {n: cache.get(k, n, ell) for n in ns}
     missing = [n for n in ns if counts.get(n) is None]
     if missing:
         from . import structures
 
-        counts.update(zip(missing, structures.s_k3_at(k, missing, ell)))
-    for n in missing if cache is not None else ():
-        cache.put(k, n, ell, counts[n])
+        computed = dict(zip(missing, structures.s_k3_at(k, missing, ell)))
+        counts.update(computed)
+        if cache is not None:
+            cache.put(k, ell, computed)
     return counts
 
 

@@ -26,7 +26,6 @@ between calls.
 """
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from . import U, W, BudgetExceededError, counting, structures
 
@@ -222,7 +221,6 @@ class TruncatedSeries:
         return result
 
 
-@lru_cache(maxsize=64)
 def _factorial_weights(top: int) -> tuple[int, ...]:
     """top! / i! for i = 0..top."""
     weights = [1] * (top + 1)

@@ -19,9 +19,12 @@ lam(m, b) in slot b, B > top bits wide.  No slot carries: the row sums obey
 s(m) = s(m-1) + s(m-2) + s(m-3) + s(m-4) with s(1..4) = 1, 2, 4, 8, so by
 induction lam(m, b) <= s(m) <= 2^(m-1) < 2^B.  A top row past
 MAX_LAMBDA_ROW, then the largest count, are refused before the scan.
+Rows of one parity share their terms, so a call reads each T_k(m) or
+f_k(m, ell) once, however many rows it sums.
 Despite the alternating signs every exact count is nonnegative.
 """
 
+import functools
 from itertools import islice
 
 from . import counting
@@ -69,6 +72,7 @@ def s_k3_at(k: int, ns, ell: int | None = None) -> list[int]:
     if ell is not None and not 0 <= ell <= min(ns):
         raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={min(ns)}")
 
+    @functools.cache
     def count(m: int) -> int:
         return counting.tk_total(k, m) if ell is None else counting.fk_partial(k, m, ell)
 

@@ -399,6 +399,40 @@ def test_corrupt_cache_recomputes_with_warning(tmp_path, capsys):
     assert cache.read_text().splitlines()[0] == "kind,k,n,ell,value"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--k", "4", "--n", "30", "--ell", "2"],
+        ["table", "--n-max", "40", "--step", "10"],
+        ["asym", "--n", "20", "--n-max", "60"],
+    ],
+)
+def test_cache_is_written_once_cold_and_never_warm(tmp_path, capsys, monkeypatch, argv):
+    cache = tmp_path / "counts.csv"
+    puts, writes = [], []
+    put, open_ = cli.CountCache.put, open
+
+    def recorded_put(self, *args):
+        puts.append(args)
+        return put(self, *args)
+
+    def recorded_open(file, mode="r", *args, **kwargs):
+        if "r" not in mode:
+            writes.append(mode)
+        return open_(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli.CountCache, "put", recorded_put)
+    monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+    cold = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (len(puts), writes) == (1, ["w"])
+    written = cache.read_bytes()
+    assert written.startswith(b"kind,k,n,ell,value\n")
+    warm = run_cli(capsys, *argv, "--cache", str(cache))
+    assert warm == cold
+    assert (len(puts), writes) == (1, ["w"])
+    assert cache.read_bytes() == written
+
+
 @pytest.mark.parametrize("where", ["directory", "missing/x.csv"])
 def test_unwritable_cache_warns_once(tmp_path, capsys, where):
     cache = tmp_path if where == "directory" else tmp_path / where
@@ -408,6 +442,16 @@ def test_unwritable_cache_warns_once(tmp_path, capsys, where):
     assert code == 0
     assert out == run_cli(capsys, "table", "--n-max", "30", "--step", "10")[1]
     assert err.count("not writing cache") == 1
+    # a path that cannot be read is not a corrupt cache
+    assert "corrupt" not in err
+    assert err.count("not reading cache") == (where == "directory")
+
+
+def test_cache_appends_new_counts_under_its_header(tmp_path, capsys):
+    cache = tmp_path / "counts.csv"
+    for n in ("9", "11", "9"):
+        run_cli(capsys, "count", "--k", "3", "--n", n, "--cache", str(cache))
+    assert cache.read_text() == f"kind,k,n,ell,value\nS,3,9,,{s_k3(3, 9)}\nS,3,11,,{s_k3(3, 11)}\n"
 
 
 def test_cached_values_reused_verbatim(tmp_path, capsys):

@@ -117,6 +117,22 @@ def test_s_k3_at_matches_the_count_at_each_n():
         s_k3_at(3, [30, 5], 6)
 
 
+def test_s_k3_at_reads_each_count_once(monkeypatch):
+    # rows of one parity share their terms; each is read once per call, not
+    # once per slot of every row
+    reads = []
+    tk_total, fk_partial = counting.tk_total, counting.fk_partial
+    monkeypatch.setattr(counting, "tk_total", lambda k, m: reads.append(m) or tk_total(k, m))
+    s_k3_at(3, range(1, 201))
+    assert sorted(reads) == list(range(201))
+    reads.clear()
+    monkeypatch.setattr(
+        counting, "fk_partial", lambda k, m, ell: reads.append(m) or fk_partial(k, m, ell)
+    )
+    s_k3_at(3, [30, 12], 6)
+    assert sorted(reads) == list(range(6, 31, 2))
+
+
 def test_s_k3_small_values():
     assert s_k3(3, 3) == 1
     assert s_k3(3, 4) == 2
